@@ -46,8 +46,7 @@ std::atomic<int> g_done{0};
 
 void setup(benchmark::State& state, unsigned magazine_cap,
            unsigned refill_batch, unsigned tcache_depth,
-           bool offload = false, unsigned workers = 1,
-           bool adaptive = false) {
+           bool offload = false, unsigned workers = 1) {
   std::lock_guard<std::mutex> lk(g_mu);
   if (g.session) return;
   core::MachineConfig mc = core::MachineConfig::opteron6128();
@@ -61,7 +60,6 @@ void setup(benchmark::State& state, unsigned magazine_cap,
     mc.kernel.offload.min_stock = 64;
     mc.kernel.offload.drain_batch = 128;
     mc.kernel.offload.workers = workers;  // 0 = auto (one per node)
-    mc.kernel.offload.adaptive_ring = adaptive;
   }
   g.session = std::make_unique<core::Session>(mc);
   g.tasks.clear();
@@ -124,8 +122,7 @@ void report(benchmark::State& state, uint64_t thread_ops, bool heap_bench) {
     }
   }
   // Per-node engine counters (one rollup per worker, named w<idx>_*) so
-  // a multi-engine JSON diff can match node against node by name, plus
-  // the tuner's resize totals for the adaptive cells.
+  // a multi-engine JSON diff can match node against node by name.
   if (g.engine) {
     state.counters["engine_workers"] =
         static_cast<double>(g.engine->num_workers());
@@ -138,9 +135,6 @@ void report(benchmark::State& state, uint64_t thread_ops, bool heap_bench) {
       state.counters[p + "recycled"] =
           static_cast<double>(ws.frames_recycled);
     }
-    const auto es = g.engine->stats().snapshot();
-    state.counters["ring_grows"] = static_cast<double>(es.ring_grows);
-    state.counters["ring_shrinks"] = static_cast<double>(es.ring_shrinks);
   }
   g.engine.reset();  // stops the thread and drains before the kernel dies
   g.session.reset();
@@ -150,8 +144,8 @@ void report(benchmark::State& state, uint64_t thread_ops, bool heap_bench) {
 // Colored page alloc/free round-trips on the task's own pages.
 void BM_PageChurn(benchmark::State& state, unsigned magazine_cap,
                   unsigned refill_batch, bool offload = false,
-                  unsigned workers = 1, bool adaptive = false) {
-  setup(state, magazine_cap, refill_batch, 0, offload, workers, adaptive);
+                  unsigned workers = 1) {
+  setup(state, magazine_cap, refill_batch, 0, offload, workers);
   os::Kernel& k = g.session->kernel();
   const os::TaskId task = g.tasks[static_cast<size_t>(state.thread_index())];
   std::vector<os::Pfn> held;
@@ -206,8 +200,7 @@ void BM_PageChurn_Offload(benchmark::State& s) {
   BM_PageChurn(s, 0, 8, /*offload=*/true);
 }
 // NUMA-sharded engine cells: 2 and 4 allocator workers on the 4-node
-// opteron topology (4 == auto there), and the 4-worker engine with the
-// adaptive ring-depth tuner armed. The relative guard in
+// opteron topology (4 == auto there). The relative guard in
 // bench/diff_baselines.py compares these against the single-worker
 // cell at 8+ threads within one fresh run.
 void BM_PageChurn_OffloadW2(benchmark::State& s) {
@@ -215,9 +208,6 @@ void BM_PageChurn_OffloadW2(benchmark::State& s) {
 }
 void BM_PageChurn_OffloadW4(benchmark::State& s) {
   BM_PageChurn(s, 0, 8, /*offload=*/true, /*workers=*/4);
-}
-void BM_PageChurn_OffloadW4Adaptive(benchmark::State& s) {
-  BM_PageChurn(s, 0, 8, /*offload=*/true, /*workers=*/4, /*adaptive=*/true);
 }
 void BM_HeapChurn_NoTcache(benchmark::State& s) { BM_HeapChurn(s, 0); }
 void BM_HeapChurn_Tcache(benchmark::State& s) { BM_HeapChurn(s, 64); }
@@ -229,7 +219,6 @@ BENCHMARK(BM_PageChurn_Magazine)->ThreadRange(1, 32)->UseRealTime();
 BENCHMARK(BM_PageChurn_Offload)->ThreadRange(1, 32)->UseRealTime();
 BENCHMARK(BM_PageChurn_OffloadW2)->ThreadRange(1, 32)->UseRealTime();
 BENCHMARK(BM_PageChurn_OffloadW4)->ThreadRange(1, 32)->UseRealTime();
-BENCHMARK(BM_PageChurn_OffloadW4Adaptive)->ThreadRange(1, 32)->UseRealTime();
 BENCHMARK(BM_HeapChurn_NoTcache)->ThreadRange(1, 32)->UseRealTime();
 BENCHMARK(BM_HeapChurn_Tcache)->ThreadRange(1, 32)->UseRealTime();
 

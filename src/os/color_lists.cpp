@@ -14,74 +14,15 @@ unsigned pow2_shards(unsigned shards) {
 }
 }  // namespace
 
-// Probe-aware shard acquisition: when the contention probe is open,
-// count the acquisition and whether the shard was already held (the
-// per-shard flag is set strictly inside the mutex hold, so a set flag
-// means a concurrent holder). Closed probe: one predicted-false branch.
-class ColorLists::ShardGuard {
- public:
-  ShardGuard(const ColorLists& cl, size_t k)
-      : cl_(cl), k_(k & (cl.nshards_ - 1)),
-        probed_(cl.probe_open_.load(std::memory_order_relaxed)) {
-    if (probed_) {
-      cl_.probe_acq_.fetch_add(1, std::memory_order_relaxed);
-      if (cl_.held_[k_].load(std::memory_order_relaxed) != 0)
-        cl_.probe_cont_.fetch_add(1, std::memory_order_relaxed);
-    }
-    cl_.shards_[k_].lock();
-    if (probed_) cl_.held_[k_].store(1, std::memory_order_relaxed);
-  }
-  ~ShardGuard() {
-    if (probed_) cl_.held_[k_].store(0, std::memory_order_relaxed);
-    cl_.shards_[k_].unlock();
-  }
-  ShardGuard(const ShardGuard&) = delete;
-  ShardGuard& operator=(const ShardGuard&) = delete;
-
- private:
-  const ColorLists& cl_;
-  size_t k_;
-  bool probed_;
-};
-
 ColorLists::ColorLists(unsigned num_bank_colors, unsigned num_llc_colors,
                        uint64_t total_pages, unsigned shards)
-    : nb_(num_bank_colors), nl_(num_llc_colors) {
-  nshards_ = pow2_shards(shards);
+    : nb_(num_bank_colors), nl_(num_llc_colors),
+      nshards_(pow2_shards(shards)) {
   heads_.assign(static_cast<size_t>(nb_) * nl_, kNoPage);
   counts_ = std::make_unique<std::atomic<uint64_t>[]>(
       static_cast<size_t>(nb_) * nl_);
   next_.assign(total_pages, kNoPage);
   shards_ = std::make_unique<Shard[]>(nshards_);
-  held_ = std::make_unique<std::atomic<uint8_t>[]>(nshards_);
-  for (unsigned s = 0; s < nshards_; ++s)
-    held_[s].store(0, std::memory_order_relaxed);
-}
-
-void ColorLists::probe_begin() {
-  probe_acq_.store(0, std::memory_order_relaxed);
-  probe_cont_.store(0, std::memory_order_relaxed);
-  for (unsigned s = 0; s < nshards_; ++s)
-    held_[s].store(0, std::memory_order_relaxed);
-  probe_open_.store(true, std::memory_order_release);
-}
-
-ColorLists::ProbeReport ColorLists::probe_end() {
-  probe_open_.store(false, std::memory_order_release);
-  return {probe_acq_.load(std::memory_order_relaxed),
-          probe_cont_.load(std::memory_order_relaxed)};
-}
-
-unsigned ColorLists::reshard(unsigned shards) {
-  const unsigned n = pow2_shards(shards);
-  if (n == nshards_) return 0;
-  // The caller holds every locker quiesced, so no thread is inside (or
-  // spinning toward) the old array when it dies.
-  nshards_ = n;
-  shards_ = std::make_unique<Shard[]>(n);
-  held_ = std::make_unique<std::atomic<uint8_t>[]>(n);
-  for (unsigned s = 0; s < n; ++s) held_[s].store(0, std::memory_order_relaxed);
-  return n;
 }
 
 void ColorLists::create_color_list(Pfn head, unsigned order,
@@ -91,7 +32,7 @@ void ColorLists::create_color_list(Pfn head, unsigned order,
     const Pfn pfn = head + i;
     PageInfo& pi = pages[pfn];
     const size_t k = idx(pi.bank_color, pi.llc_color);
-    ShardGuard lk(*this, k);
+    std::lock_guard<Shard> lk(shard(k));
     next_[pfn] = heads_[k];
     heads_[k] = pfn;
     counts_[k].fetch_add(1, std::memory_order_relaxed);
@@ -140,7 +81,7 @@ uint64_t ColorLists::refill_batch(
   }
   uint64_t scattered = 0;
   for (Bucket& b : buckets) {
-    ShardGuard lk(*this, b.k);
+    std::lock_guard<Shard> lk(shard(b.k));
     for (const Pfn pfn : b.pfns) {
       next_[pfn] = heads_[b.k];
       heads_[b.k] = pfn;
@@ -157,7 +98,7 @@ uint64_t ColorLists::refill_batch(
 Pfn ColorLists::pop(unsigned mem_id, unsigned llc_id,
                     std::vector<PageInfo>& pages) {
   const size_t k = idx(mem_id, llc_id);
-  ShardGuard lk(*this, k);
+  std::lock_guard<Shard> lk(shard(k));
   const Pfn pfn = heads_[k];
   if (pfn == kNoPage) return kNoPage;
   heads_[k] = next_[pfn];
@@ -186,7 +127,7 @@ Pfn ColorLists::pop_any_in_bank_range(unsigned mem_lo, unsigned mem_hi,
 bool ColorLists::remove(Pfn pfn, const std::vector<PageInfo>& pages) {
   const PageInfo& pi = pages[pfn];
   const size_t k = idx(pi.bank_color, pi.llc_color);
-  ShardGuard lk(*this, k);
+  std::lock_guard<Shard> lk(shard(k));
   Pfn prev = kNoPage;
   for (Pfn p = heads_[k]; p != kNoPage; prev = p, p = next_[p]) {
     if (p != pfn) continue;
@@ -210,7 +151,7 @@ std::vector<Pfn> ColorLists::drain_bank_range(unsigned mem_lo,
     for (unsigned l = 0; l < nl_; ++l) {
       const size_t k = idx(m, l);
       if (counts_[k].load(std::memory_order_relaxed) == 0) continue;
-      ShardGuard lk(*this, k);
+      std::lock_guard<Shard> lk(shard(k));
       uint64_t taken = 0;
       for (Pfn p = heads_[k]; p != kNoPage; ++taken) {
         const Pfn nxt = next_[p];
@@ -246,7 +187,7 @@ void ColorLists::push(Pfn pfn, std::vector<PageInfo>& pages) {
   PageInfo& pi = pages[pfn];
   TINT_DASSERT(pi.state != PageState::kColorFree);
   const size_t k = idx(pi.bank_color, pi.llc_color);
-  ShardGuard lk(*this, k);
+  std::lock_guard<Shard> lk(shard(k));
   next_[pfn] = heads_[k];
   heads_[k] = pfn;
   counts_[k].fetch_add(1, std::memory_order_relaxed);

@@ -10,13 +10,14 @@
 // returned here by free(). Pages never migrate back to the buddy
 // allocator (as in the paper: once colorized, a frame stays colorized).
 //
-// Thread safety: the matrix is guarded by a power-of-two shard array of mutexes, keyed by the
-// (MEM_ID, LLC_ID) combo index, so concurrent tasks popping different
-// combos never contend (per-task color sets exist precisely so parallel
-// allocations don't collide -- the sharding mirrors that). Per-list and
-// total populations are atomics, readable without a lock. A frame's
-// intrusive `next_` link is owned by whichever list currently parks it;
-// ownership handoffs synchronize through the shard mutexes.
+// Thread safety: the matrix is guarded by a power-of-two shard array of
+// mutexes, fixed at construction and keyed by the (MEM_ID, LLC_ID) combo
+// index, so concurrent tasks popping different combos never contend
+// (per-task color sets exist precisely so parallel allocations don't
+// collide -- the sharding mirrors that). Per-list and total populations
+// are atomics, readable without a lock. A frame's intrusive `next_` link
+// is owned by whichever list currently parks it; ownership handoffs
+// synchronize through the shard mutexes.
 #pragma once
 
 #include <atomic>
@@ -109,55 +110,23 @@ class ColorLists {
   void freeze() const;
   void thaw() const;
 
-  // --- contention probe (the ShardAdvisor's observation point) ---
-  // While open, every shard acquisition in pop/push/remove/refill/drain
-  // also checks a per-shard "held" flag: finding it set counts as a
-  // contended acquisition (someone was already inside the shard). The
-  // probe costs two relaxed atomic ops per acquisition while open and
-  // one predicted-false branch while closed, so it can stay wired into
-  // the hot path permanently and only be opened for sampling windows.
-  // Counts are heuristic (a holder that predates probe_begin is not
-  // flagged) -- exactly what a re-shard decision needs, no more.
-  void probe_begin();
-  struct ProbeReport {
-    uint64_t acquisitions = 0;  // probed shard acquisitions
-    uint64_t contended = 0;     // of those, the shard was already held
-  };
-  ProbeReport probe_end();
-
-  // Online re-shard: swaps the shard-lock array to `shards` (rounded up
-  // to a power of two; 0 picks the legacy 64). List contents, counts
-  // and pop order are untouched -- sharding is pure lock granularity --
-  // so the swap is invisible to determinism. The caller guarantees full
-  // quiescence of every locker (the Kernel holds the mm lock exclusive
-  // plus the ras lock). Returns the new count, 0 when it already
-  // matches.
-  unsigned reshard(unsigned shards);
-
  private:
-  class ShardGuard;  // probe-aware RAII shard acquisition (in the .cpp)
   size_t idx(unsigned mem_id, unsigned llc_id) const {
     TINT_DASSERT(mem_id < nb_ && llc_id < nl_);
     return static_cast<size_t>(mem_id) * nl_ + llc_id;
   }
   util::RankedMutex<util::lock_rank::kColorShard>& shard(size_t k) const {
-    return shards_[k & (nshards_ - 1)];  // nshards_ is a power of two
+    return shards_[k & (nshards_ - 1)];
   }
 
   unsigned nb_, nl_;
-  unsigned nshards_;
+  const unsigned nshards_;  // a power of two
   std::vector<Pfn> heads_;        // matrix of singly-linked stacks
   std::unique_ptr<std::atomic<uint64_t>[]> counts_;  // per-list population
   std::vector<Pfn> next_;         // intrusive links by pfn
   std::atomic<uint64_t> total_{0};
   mutable std::unique_ptr<util::RankedMutex<util::lock_rank::kColorShard>[]>
       shards_;
-  // Contention-probe state (all mutable: the probe observes, never
-  // steers, so const paths may bump it).
-  mutable std::atomic<bool> probe_open_{false};
-  mutable std::atomic<uint64_t> probe_acq_{0};
-  mutable std::atomic<uint64_t> probe_cont_{0};
-  mutable std::unique_ptr<std::atomic<uint8_t>[]> held_;  // one per shard
 };
 
 }  // namespace tint::os

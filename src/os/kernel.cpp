@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "os/shard_advisor.h"
 #include "util/assert.h"
 
 namespace tint::os {
@@ -15,6 +14,20 @@ using HugeLock = util::RankedMutex<util::lock_rank::kHugePool>;
 using RasLock = util::RankedMutex<util::lock_rank::kRas>;
 }  // namespace
 
+unsigned boot_color_shards(const hw::Topology& topo, unsigned bank_colors,
+                           unsigned llc_colors) {
+  // Enough shards that the (bank, LLC) combos in flight across all cores
+  // rarely collide on one lock, clamped so the stop-the-world freeze
+  // (every shard lock, in order) stays bounded -- bench/concurrent_alloc
+  // reports the freeze cost vs. this count.
+  const uint64_t in_flight = std::min<uint64_t>(
+      static_cast<uint64_t>(bank_colors) * llc_colors,
+      topo.num_cores() * 16ULL);
+  unsigned n = 1;
+  while (n < in_flight && n < 512) n <<= 1;
+  return std::max(16u, n);
+}
+
 Kernel::Kernel(const hw::Topology& topo, const hw::AddressMapping& mapping,
                KernelConfig cfg, uint64_t seed)
     : topo_(topo), mapping_(mapping), cfg_(cfg),
@@ -24,15 +37,11 @@ Kernel::Kernel(const hw::Topology& topo, const hw::AddressMapping& mapping,
   // Boot runs strictly single-threaded; no locks are taken here.
   buddy_ = std::make_unique<BuddyAllocator>(topo, pages_);
   // Shard count for the color matrix: pinned by the knob, else derived
-  // from topology by the shard advisor (enough shards that the
-  // (bank, LLC) combos in flight across all cores rarely collide,
-  // clamped so the stop-the-world freeze stays bounded --
-  // bench/concurrent_alloc reports the freeze cost vs. this count, and
-  // adapt_shards() can re-shard online from observed contention).
+  // from topology (boot_color_shards).
   unsigned shards = cfg_.color_shards;
   if (shards == 0)
-    shards = ShardAdvisor::boot_shards(topo, mapping.num_bank_colors(),
-                                       mapping.num_llc_colors());
+    shards = boot_color_shards(topo, mapping.num_bank_colors(),
+                               mapping.num_llc_colors());
   colors_ = std::make_unique<ColorLists>(mapping.num_bank_colors(),
                                          mapping.num_llc_colors(),
                                          topo.total_pages(), shards);
@@ -570,6 +579,7 @@ Kernel::TouchResult Kernel::fault_huge(Task& t, VirtAddr va,
   // Map the whole aligned 2 MB block containing `va` with one fault.
   const uint64_t pages_per_huge = kHugeBytes / topo_.page_bytes();
   const VirtAddr huge_base = vma_base + ((va - vma_base) & ~(kHugeBytes - 1));
+  const uint64_t head_vpn = page_table_.vpn_of(huge_base);
 
   // Transient controller loss injected for just this allocation; a local
   // so concurrent faults cannot observe each other's injected outages.
@@ -586,10 +596,25 @@ Kernel::TouchResult Kernel::fault_huge(Task& t, VirtAddr va,
   if (cs.using_bank) {
     preferred = mapping_.node_of_bank_color(cs.mem_list.front());
   } else {
-    preferred = pick_default_node(t, page_table_.vpn_of(huge_base));
+    preferred = pick_default_node(t, head_vpn);
+  }
+  // Racing faults of one 2 MB block resolve *before* any of them takes a
+  // block: the page-table lock is held exclusively from the mapping check
+  // through the publish, so a loser never holds a pool block and never
+  // sees the pool drained by blocks that are about to come back
+  // (DESIGN.md section 10; ranks kPageTable < kHugePool < kBuddyZone).
+  std::unique_lock pt(pt_lock_);
+  if (const auto winner = page_table_.lookup(huge_base)) {
+    // Another thread faulted this 2 MB block first: adopt its frames.
+    // Never taken serially.
+    pt.unlock();
+    ++stats_.fault_races_lost;
+    TouchResult res;
+    res.pa = (static_cast<uint64_t>(*winner) << topo_.page_bits) +
+             (va - huge_base);
+    return res;
   }
   Pfn head = kNoPage;
-  bool from_pool = false;
   const unsigned nn = mapping_.num_nodes();
   // An armed kHugePool failpoint makes the boot reservation look empty,
   // forcing the (usually fruitless) buddy attempt below.
@@ -605,7 +630,6 @@ Kernel::TouchResult Kernel::fault_huge(Task& t, VirtAddr va,
       if (!pool.empty()) {
         head = pool.back();
         pool.pop_back();
-        from_pool = true;
       }
     }
   }
@@ -620,6 +644,7 @@ Kernel::TouchResult Kernel::fault_huge(Task& t, VirtAddr va,
     head = buddy_->alloc_block(node, kHugeOrder);
   }
   if (head == kNoPage) {
+    pt.unlock();
     // Pool dry and zones fragmented: report the simulated SIGBUS that a
     // hugetlbfs mapping takes when its reservation is gone.
     ++stats_.alloc_failures;
@@ -630,42 +655,16 @@ Kernel::TouchResult Kernel::fault_huge(Task& t, VirtAddr va,
     return res;
   }
 
-  // Frame metadata before the mapping is published (as in touch()).
+  // Frame metadata before each translation (as in touch()); translators
+  // see both only once the exclusive hold ends.
   for (uint64_t i = 0; i < pages_per_huge; ++i) {
     pages_[head + i].state = PageState::kAllocated;
     pages_[head + i].owner = t.id();
     pages_[head + i].colored_alloc = false;
     pages_[head + i].huge = true;  // exempts the frame from RAS handling
+    page_table_.map(head_vpn + i, head + static_cast<Pfn>(i));
   }
-  const uint64_t head_vpn = page_table_.vpn_of(huge_base);
-  Pfn winner;
-  {
-    std::unique_lock pt(pt_lock_);
-    winner = page_table_.map_or_get(head_vpn, head);
-    if (winner == head)
-      for (uint64_t i = 1; i < pages_per_huge; ++i)
-        page_table_.map(head_vpn + i, head + static_cast<Pfn>(i));
-  }
-  if (winner != head) {
-    // Another thread faulted this 2 MB block first: return our block
-    // whence it came and adopt the winner's frames. Never taken serially.
-    for (uint64_t i = 0; i < pages_per_huge; ++i) {
-      pages_[head + i].owner = kNoTask;
-      pages_[head + i].state = PageState::kBuddyFree;
-      pages_[head + i].huge = false;
-    }
-    if (from_pool) {
-      std::lock_guard<HugeLock> hl(huge_lock_);
-      huge_pool_[head / topo_.pages_per_node()].push_back(head);
-    } else {
-      buddy_->free_block(head, kHugeOrder);
-    }
-    ++stats_.fault_races_lost;
-    TouchResult res;
-    res.pa = (static_cast<uint64_t>(winner) << topo_.page_bits) +
-             (va - huge_base);
-    return res;
-  }
+  pt.unlock();
   ++stats_.page_faults;
   ++stats_.huge_faults;
   TaskAllocStats& as = t.alloc_stats();
@@ -994,11 +993,9 @@ Kernel::AllocOutcome Kernel::alloc_colored(Task& t, const Task::ColorSet& cs,
     // from a round that is routing around a failed controller).
     const unsigned take_mem = mems[cursor % n_mem];
     const unsigned take_llc = llcs[(cursor % ncombo) / n_mem];
-    // Uses the magazine's *live* capacity, which the adaptive tuner may
-    // have grown past the configured baseline.
     const unsigned take_max =
         (cfg_.magazine_capacity > 0 && transient_offline < 0)
-            ? t.magazine().capacity() + 1  // +1 serves the current fault
+            ? cfg_.magazine_capacity + 1  // +1 serves the current fault
             : 0;
     std::vector<Pfn> taken;
     size_t node_cursor = 0;
@@ -1166,7 +1163,6 @@ Pfn Kernel::try_ring_pop(Task& t, const Task::ColorSet& cs,
   if (r == nullptr) return kNoPage;
   if (!r->alloc_guard.try_lock()) {
     stats_.ring_empty_stalls.fetch_add(1, std::memory_order_relaxed);
-    r->empty_stalls.fetch_add(1, std::memory_order_relaxed);
     return kNoPage;
   }
   Pfn got = kNoPage;
@@ -1191,12 +1187,10 @@ Pfn Kernel::try_ring_pop(Task& t, const Task::ColorSet& cs,
     break;
   }
   r->alloc_guard.unlock();
-  if (got == kNoPage) {
+  if (got == kNoPage)
     stats_.ring_empty_stalls.fetch_add(1, std::memory_order_relaxed);
-    r->empty_stalls.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  else
     stats_.ring_alloc_hits.fetch_add(1, std::memory_order_relaxed);
-  }
   return got;
 }
 
@@ -1216,7 +1210,6 @@ bool Kernel::try_ring_push(PageInfo& pi, Pfn pfn) {
   if (!ok) {
     pi.state = PageState::kAllocated;  // caller falls through, state restored
     stats_.ring_full_stalls.fetch_add(1, std::memory_order_relaxed);
-    r->full_stalls.fetch_add(1, std::memory_order_relaxed);
   }
   r->free_guard.unlock();
   return ok;
@@ -1255,88 +1248,6 @@ uint64_t Kernel::offload_ring_pops(TaskId id) const {
   if (!offload_rings_) return 0;
   const TaskRings* r = offload_rings_->rings_of(id);
   return r ? r->completion.pops() : 0;
-}
-
-Kernel::RingStallSnapshot Kernel::offload_ring_stalls(TaskId id) const {
-  RingStallSnapshot s;
-  if (!offload_rings_) return s;
-  const TaskRings* r = offload_rings_->rings_of(id);
-  if (r == nullptr) return s;
-  s.full = r->full_stalls.load(std::memory_order_relaxed);
-  s.empty = r->empty_stalls.load(std::memory_order_relaxed);
-  return s;
-}
-
-unsigned Kernel::offload_ring_capacity(TaskId id) const {
-  if (!offload_rings_) return 0;
-  const TaskRings* r = offload_rings_->rings_of(id);
-  return r ? r->completion.capacity() : 0;
-}
-
-bool Kernel::offload_resize_task(TaskId id, unsigned new_depth) {
-  if (!offload_rings_) return false;
-  TaskRings* r = offload_rings_->rings_of(id);
-  if (r == nullptr) return false;
-  new_depth = std::max(4u, std::min(new_depth,
-                                    std::max(4u, cfg_.offload.ring_depth_max)));
-  // Shared like a fault: frames move between pools inside the freeze
-  // hold below, and a stop-the-world walk (exclusive mm) must wait for
-  // the window to close.
-  std::shared_lock mm(mm_lock_);
-  // Freeze-swap: this task's engine side plus both app sides. With all
-  // three frozen the drains below see every parked frame and nothing
-  // slips in mid-swap; the engine_guard also excludes a worker's
-  // service round and a concurrent drain/resize of the same task.
-  r->engine_guard.lock();
-  r->freeze_app_sides();
-  const unsigned old_cap = r->completion.capacity();
-  // Keep the two rings' contents apart so stock returns to stock and
-  // pending frees stay pending frees. snapshot(), not drain_all():
-  // frozen-side reads that leave the consumer pop counters untouched
-  // (the engine paces off pop deltas; a drain here would spike them).
-  const std::vector<uint64_t> stock = r->completion.snapshot();
-  const std::vector<uint64_t> freed = r->request.snapshot();
-  r->completion.resize(new_depth);
-  r->request.resize(new_depth);
-  const unsigned new_cap = r->completion.capacity();
-  // Re-push up to the new capacity; overflow (a shrink with a full
-  // ring) re-homes to the color lists -- or the buddy behind an offline
-  // node -- inside the freeze hold, so conservation never sees a frame
-  // outside every pool.
-  uint64_t rehomed = 0, to_buddy = 0;
-  const auto repush = [&](SpscRing& ring, const std::vector<uint64_t>& frames) {
-    for (const uint64_t v : frames) {
-      const Pfn pfn = static_cast<Pfn>(v);
-      PageInfo& pi = pages_[pfn];
-      TINT_DASSERT(pi.state == PageState::kRingOwned);
-      if (node_online(pi.node) && ring.push(v)) continue;  // stays kRingOwned
-      if (node_online(pi.node)) {
-        colors_->push(pfn, pages_);
-        ++rehomed;
-      } else {
-        pi.owner = kNoTask;
-        pi.state = PageState::kBuddyFree;
-        buddy_->free_block(pfn, 0);
-        ++rehomed;
-        ++to_buddy;
-      }
-    }
-  };
-  repush(r->completion, stock);
-  repush(r->request, freed);
-  r->thaw_app_sides();
-  r->engine_guard.unlock();
-
-  if (new_cap > old_cap)
-    stats_.ring_grows.fetch_add(1, std::memory_order_relaxed);
-  else if (new_cap < old_cap)
-    stats_.ring_shrinks.fetch_add(1, std::memory_order_relaxed);
-  if (rehomed > 0)
-    stats_.ring_resize_drained.fetch_add(rehomed, std::memory_order_relaxed);
-  if (to_buddy > 0)
-    stats_.offline_drained_pages.fetch_add(to_buddy,
-                                           std::memory_order_relaxed);
-  return true;
 }
 
 Kernel::OffloadServiceReport Kernel::offload_service(TaskId id,
@@ -1443,8 +1354,8 @@ uint64_t Kernel::offload_drain_task_locked(TaskId id) {
   // drains see every parked frame and no new one can slip in. The
   // re-homing happens inside the hold, so a frame is never outside
   // every pool while the rings are already thawed. (The registry lock
-  // is not needed: the guard alone excludes workers, resizes and other
-  // drains of this task, and full freezes take every engine guard.)
+  // is not needed: the guard alone excludes workers and other drains of
+  // this task, and full freezes take every engine guard.)
   r->engine_guard.lock();
   r->freeze_app_sides();
   std::vector<uint64_t> frames = r->completion.drain_all();
@@ -1483,94 +1394,6 @@ uint64_t Kernel::offload_drain_task(TaskId id) {
   // stop-the-world walk must not observe the in-between window.
   std::shared_lock mm(mm_lock_);
   return offload_drain_task_locked(id);
-}
-
-// --- adaptive magazine tuner (control-plane pass) ---
-
-Kernel::MagazineAdaptReport Kernel::adapt_magazines() {
-  MagazineAdaptReport rep;
-  if (cfg_.magazine_capacity == 0 ||
-      cfg_.magazine_capacity_max <= cfg_.magazine_capacity)
-    return rep;
-  // Shared like a fault: set_capacity takes effect against concurrent
-  // pushes immediately, and the stop-the-world walk must not interleave.
-  std::shared_lock mm(mm_lock_);
-  const size_t ntasks = tasks_.size();
-  for (size_t i = 0; i < ntasks; ++i) {
-    Task& t = tasks_.at(static_cast<TaskId>(i));
-    if (!t.alive()) continue;
-    Task::MagTune& tune = t.mag_tune();
-    const uint64_t hits =
-        t.alloc_stats().magazine_hits.load(std::memory_order_relaxed);
-    const uint64_t misses =
-        t.alloc_stats().magazine_misses.load(std::memory_order_relaxed);
-    const uint64_t dh = hits - tune.hits_seen;
-    const uint64_t dm = misses - tune.misses_seen;
-    tune.hits_seen = hits;
-    tune.misses_seen = misses;
-    // Too few observations this pass to act on.
-    if (dh + dm < 16) continue;
-    ++rep.observed;
-    const double frac =
-        static_cast<double>(dh) / static_cast<double>(dh + dm);
-    tune.ewma = tune.ewma < 0.0 ? frac : 0.3 * frac + 0.7 * tune.ewma;
-    const unsigned cap = t.magazine().capacity();
-    if (tune.ewma < 0.6 && cap < cfg_.magazine_capacity_max) {
-      // Missing often: the per-combo bins are too shallow for this
-      // task's churn. Double, bounded by the cap knob.
-      t.magazine().set_capacity(
-          std::min(cap * 2, cfg_.magazine_capacity_max));
-      ++rep.grown;
-      stats_.magazine_grows.fetch_add(1, std::memory_order_relaxed);
-    } else if (tune.ewma > 0.95 && cap > cfg_.magazine_capacity &&
-               t.magazine().cached() <= cap) {
-      // Saturated hit rate with a mostly-idle cache: give the frames
-      // back. Halve, bounded below by the configured floor. (Shrinking
-      // only changes what future pushes accept; already-cached frames
-      // drain through the normal triggers.)
-      t.magazine().set_capacity(
-          std::max(cap / 2, cfg_.magazine_capacity));
-      ++rep.shrunk;
-      stats_.magazine_shrinks.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return rep;
-}
-
-// --- adaptive color-shard count (control-plane; DESIGN.md section 17) ---
-
-bool Kernel::reshard_colors(unsigned shards) {
-  shards = std::max(16u, std::min(shards, 512u));
-  // Exclusive mm drains every internal shard user that runs under the
-  // mm lock (faults, engine service rounds, ring/magazine drains); the
-  // ras lock excludes poison reach-ins, which take shard locks with
-  // only the ras lock held. Raw alloc_pages/free_pages callers bypass
-  // both and must be quiesced by the caller, exactly like the
-  // stop-the-world invariant walk.
-  std::unique_lock<MmLock> mm(mm_lock_);
-  std::lock_guard<RasLock> rl(ras_lock_);
-  if (colors_->reshard(shards) == 0) return false;
-  stats_.color_reshards.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void Kernel::begin_shard_probe() { colors_->probe_begin(); }
-
-Kernel::ShardAdaptReport Kernel::adapt_shards() {
-  ShardAdaptReport rep;
-  rep.old_shards = colors_->num_shards();
-  rep.new_shards = rep.old_shards;
-  const ColorLists::ProbeReport probe = colors_->probe_end();
-  rep.acquisitions = probe.acquisitions;
-  rep.contended = probe.contended;
-  const ShardAdvisor::Advice adv =
-      ShardAdvisor().recommend(rep.old_shards, probe.acquisitions,
-                               probe.contended);
-  rep.new_shards = adv.shards;
-  if (adv.shards != rep.old_shards)
-    rep.resharded = reshard_colors(adv.shards);
-  rep.new_shards = colors_->num_shards();
-  return rep;
 }
 
 // --- RAS: poisoning, migration, offlining, scrubbing (DESIGN.md

@@ -80,6 +80,12 @@ inline constexpr VirtAddr kMmapFailed = ~0ULL;  // MAP_FAILED
 // node of its bank colors.
 inline constexpr uint32_t MAP_HUGE_2MB = 1u << 26;
 
+// Boot-time color-list shard count (KernelConfig::color_shards == 0):
+// the number of (bank, LLC) combos, clamped to cores x 16 and rounded up
+// to a power of two in [16, 512].
+unsigned boot_color_shards(const hw::Topology& topo, unsigned bank_colors,
+                           unsigned llc_colors);
+
 struct KernelConfig {
   // Probability that a default-path page comes from the recycled pool
   // (arbitrary node) instead of the local node. 0 = ideal first touch.
@@ -113,15 +119,9 @@ struct KernelConfig {
   // Frames cached per (MEM_ID, LLC_ID) combo in each task's page
   // magazine (see os/page_magazine.h). 0 disables magazines entirely.
   unsigned magazine_capacity = 0;
-  // Upper bound for the *adaptive* magazine tuner (adapt_magazines):
-  // each alive task's per-combo capacity grows toward this cap while its
-  // observed hit fraction is poor and shrinks back toward
-  // magazine_capacity when the cache is saturated. 0 disables adaptation
-  // (capacity stays fixed at magazine_capacity).
-  unsigned magazine_capacity_max = 0;
   // Color-list shard count. 0 derives it from topology at boot: the
   // number of (bank, LLC) combos clamped to a power of two in [16, 512]
-  // (see Kernel ctor). Explicit values are rounded up to a power of two.
+  // (boot_color_shards). Explicit values are rounded up to a power of two.
   // Shards only affect locking granularity -- never list contents or pop
   // order -- so this knob is determinism-safe.
   unsigned color_shards = 0;
@@ -178,15 +178,6 @@ struct KernelConfig {
     // pool at N, nodes distributed round-robin. Pure engine-side
     // parallelism -- the knob never changes which frames a task gets.
     unsigned workers = 1;
-    // Adaptive ring depth: the engine grows a task's rings when its
-    // full/empty-stall EWMAs stay high (free bursts overflowing the
-    // request ring, faults outrunning restock) and shrinks them back
-    // toward ring_depth when the stalls die down. Off (default): depths
-    // stay pinned at ring_depth and goldens are untouched.
-    bool adaptive_ring = false;
-    // Upper bound for adaptive growth (rounded up to a power of two);
-    // ring_depth is the shrink floor.
-    unsigned ring_depth_max = 4096;
   };
   OffloadConfig offload;
 };
@@ -253,14 +244,6 @@ struct KernelStats {
   std::atomic<uint64_t> ring_drained_frames{0};  // teardown/recolor drains
   std::atomic<uint64_t> prefault_pages{0};  // frames the engine stocked ahead
   std::atomic<uint64_t> batches_drained{0};  // service rounds that did work
-  // --- adaptive magazine tuner (Kernel::adapt_magazines) ---
-  std::atomic<uint64_t> magazine_grows{0};
-  std::atomic<uint64_t> magazine_shrinks{0};
-  // --- adaptive ring depth + shard count (DESIGN.md section 17) ---
-  std::atomic<uint64_t> ring_grows{0};      // per-task ring depth doublings
-  std::atomic<uint64_t> ring_shrinks{0};    // per-task ring depth halvings
-  std::atomic<uint64_t> ring_resize_drained{0};  // frames re-homed by resizes
-  std::atomic<uint64_t> color_reshards{0};  // online shard-count swaps
 
   struct Snapshot {
     uint64_t color_control_calls = 0;
@@ -307,12 +290,6 @@ struct KernelStats {
     uint64_t ring_drained_frames = 0;
     uint64_t prefault_pages = 0;
     uint64_t batches_drained = 0;
-    uint64_t magazine_grows = 0;
-    uint64_t magazine_shrinks = 0;
-    uint64_t ring_grows = 0;
-    uint64_t ring_shrinks = 0;
-    uint64_t ring_resize_drained = 0;
-    uint64_t color_reshards = 0;
   };
   Snapshot snapshot() const {
     const auto ld = [](const std::atomic<uint64_t>& a) {
@@ -337,10 +314,7 @@ struct KernelStats {
             ld(ring_full_stalls),    ld(ring_frees_absorbed),
             ld(ring_recycled),       ld(ring_fg_recycles),
             ld(ring_drained_frames),
-            ld(prefault_pages),      ld(batches_drained),
-            ld(magazine_grows),      ld(magazine_shrinks),
-            ld(ring_grows),          ld(ring_shrinks),
-            ld(ring_resize_drained), ld(color_reshards)};
+            ld(prefault_pages),      ld(batches_drained)};
   }
 };
 
@@ -580,78 +554,10 @@ class Kernel {
   // attached.
   uint64_t offload_ring_pops(TaskId id) const;
 
-  // Per-task ring stall observation points for the adaptive depth
-  // tuner: full = frees that found the request ring full, empty =
-  // colored faults that found the completion ring empty / guard busy.
-  // Both zero when never attached.
-  struct RingStallSnapshot {
-    uint64_t full = 0;
-    uint64_t empty = 0;
-  };
-  RingStallSnapshot offload_ring_stalls(TaskId id) const;
-  // Usable slots per ring of a task (0 when never attached).
-  unsigned offload_ring_capacity(TaskId id) const;
-
-  // Freeze-swap ring resize (the adaptive-depth mechanism): freezes the
-  // task's rings (engine guard + app guards), drains both through the
-  // frozen-side machinery, re-sizes them in place to `new_depth`
-  // (rounded up to a power of two, clamped to [4, ring_depth_max]),
-  // then re-pushes the drained frames up to the new capacity --
-  // completion-ring stock first, then pending frees back to the request
-  // ring; overflow re-homes to the color lists (or the buddy behind an
-  // offline node). Frame conservation holds across the whole swap: the
-  // re-homing happens inside the freeze hold, so the STW walk never
-  // sees a frame outside every pool. Cumulative pop counters survive
-  // the resize (the engine paces off their deltas). Returns false when
-  // offload is off or the task was never attached.
-  bool offload_resize_task(TaskId id, unsigned new_depth);
-
   // Drains both rings of a task back to the shared pools (teardown,
   // re-coloring, color-control changes, node offlining). Returns frames
   // drained. Safe from any thread; no-op when never attached.
   uint64_t offload_drain_task(TaskId id);
-
-  // --- adaptive magazine tuner (control-plane pass; DESIGN.md §13) ---
-  // Re-sizes each alive task's magazine capacity from the task's
-  // observed hit/miss deltas since the previous pass: poor hit fraction
-  // doubles the per-combo capacity (up to magazine_capacity_max),
-  // saturated caches halve it back toward the magazine_capacity floor.
-  // No-op unless magazine_capacity_max > magazine_capacity > 0.
-  struct MagazineAdaptReport {
-    unsigned grown = 0;    // tasks whose capacity doubled
-    unsigned shrunk = 0;   // tasks whose capacity halved
-    unsigned observed = 0; // alive tasks with magazine traffic this pass
-  };
-  MagazineAdaptReport adapt_magazines();
-
-  // --- adaptive color-shard count (control-plane; DESIGN.md §17) ---
-  // Online re-shard of the color matrix: swaps the shard-lock array to
-  // `shards` (rounded up to a power of two, clamped to [16, 512])
-  // without touching list contents -- sharding is pure lock
-  // granularity, so the swap is invisible to determinism. Quiesces
-  // every internal shard user by taking the mm lock exclusively (drains
-  // faults, engine rounds and drains) plus the ras lock (excludes
-  // poison reach-ins); raw alloc_pages/free_pages callers must be
-  // quiesced by the caller, exactly like the stop-the-world invariant
-  // walk. Returns false when the clamped count already matches.
-  bool reshard_colors(unsigned shards);
-
-  // One observation window + decision pass of the shard advisor: opens
-  // the ColorLists contention probe, lets the caller's workload run
-  // (the probe stays open between begin_shard_probe and adapt_shards),
-  // then folds the observed contention fraction and the current
-  // freeze-cost (shard count) into a ShardAdvisor recommendation,
-  // re-sharding online when it differs. No-op unless the probe was
-  // opened and saw traffic.
-  void begin_shard_probe();
-  struct ShardAdaptReport {
-    unsigned old_shards = 0;
-    unsigned new_shards = 0;
-    bool resharded = false;
-    uint64_t acquisitions = 0;   // probed shard-lock acquisitions
-    uint64_t contended = 0;      // of those, found the shard held
-  };
-  ShardAdaptReport adapt_shards();
 
   // A bank color whose poisoned-frame count crossed the retirement
   // threshold: colored placement (ladder stage 1) skips it; parked

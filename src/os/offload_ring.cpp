@@ -12,23 +12,20 @@ unsigned round_up_pow2(unsigned v) {
 }
 }  // namespace
 
-SpscRing::SpscRing(unsigned depth) {
-  // One extra slot so `tail - head == mask_` means full without
-  // conflating it with empty; keep at least a handful of usable slots.
-  unsigned cap = round_up_pow2(depth < 4 ? 4 : depth);
-  mask_.store(cap - 1, std::memory_order_relaxed);
-  slots_ = std::make_unique<Slot[]>(cap);
-}
+// One extra slot so `tail - head == mask_` means full without conflating
+// it with empty; keep at least a handful of usable slots.
+SpscRing::SpscRing(unsigned depth)
+    : mask_(round_up_pow2(depth < 4 ? 4 : depth) - 1),
+      slots_(std::make_unique<Slot[]>(mask_ + 1)) {}
 
 bool SpscRing::push(uint64_t v) {
-  const uint32_t mask = mask_.load(std::memory_order_relaxed);
   const uint32_t t = tail_.load(std::memory_order_relaxed);
   const uint32_t h = head_.load(std::memory_order_acquire);
-  if (t - h >= mask) return false;  // full (one slot sacrificed)
+  if (t - h >= mask_) return false;  // full (one slot sacrificed)
   // Relaxed slot store is fine: the release store of tail_ below orders
   // it (and the caller's PageInfo state write) before any consumer that
   // acquires the new tail.
-  slots_[t & mask].v.store(v, std::memory_order_relaxed);
+  slots_[t & mask_].v.store(v, std::memory_order_relaxed);
   tail_.store(t + 1, std::memory_order_release);
   return true;
 }
@@ -37,21 +34,10 @@ uint64_t SpscRing::pop() {
   const uint32_t h = head_.load(std::memory_order_relaxed);
   const uint32_t t = tail_.load(std::memory_order_acquire);
   if (t == h) return kEmpty;
-  const uint32_t mask = mask_.load(std::memory_order_relaxed);
-  const uint64_t v = slots_[h & mask].v.load(std::memory_order_relaxed);
+  const uint64_t v = slots_[h & mask_].v.load(std::memory_order_relaxed);
   head_.store(h + 1, std::memory_order_release);
   pops_.fetch_add(1, std::memory_order_relaxed);
   return v;
-}
-
-void SpscRing::resize(unsigned depth) {
-  const unsigned cap = round_up_pow2(depth < 4 ? 4 : depth);
-  if (cap == mask_.load(std::memory_order_relaxed) + 1) return;
-  mask_.store(cap - 1, std::memory_order_relaxed);
-  slots_ = std::make_unique<Slot[]>(cap);
-  // Fresh indices; pops_ survives (see header).
-  head_.store(0, std::memory_order_relaxed);
-  tail_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> SpscRing::drain_all() {
@@ -63,26 +49,24 @@ std::vector<uint64_t> SpscRing::drain_all() {
 std::vector<uint64_t> SpscRing::snapshot() const {
   const uint32_t h = head_.load(std::memory_order_acquire);
   const uint32_t t = tail_.load(std::memory_order_acquire);
-  const uint32_t mask = mask_.load(std::memory_order_relaxed);
   std::vector<uint64_t> out;
   out.reserve(t - h);
   for (uint32_t i = h; i != t; ++i)
-    out.push_back(slots_[i & mask].v.load(std::memory_order_relaxed));
+    out.push_back(slots_[i & mask_].v.load(std::memory_order_relaxed));
   return out;
 }
 
 bool SpscRing::steal(uint64_t v) {
   const uint32_t h = head_.load(std::memory_order_acquire);
   const uint32_t t = tail_.load(std::memory_order_acquire);
-  const uint32_t mask = mask_.load(std::memory_order_relaxed);
   for (uint32_t i = h; i != t; ++i) {
-    if (slots_[i & mask].v.load(std::memory_order_relaxed) != v) continue;
+    if (slots_[i & mask_].v.load(std::memory_order_relaxed) != v) continue;
     // Compact the occupied span toward the tail: shift everything after
     // the hole down by one, then retract the tail. Both sides are
     // frozen, so plain index arithmetic is safe.
     for (uint32_t j = i + 1; j != t; ++j) {
-      slots_[(j - 1) & mask].v.store(
-          slots_[j & mask].v.load(std::memory_order_relaxed),
+      slots_[(j - 1) & mask_].v.store(
+          slots_[j & mask_].v.load(std::memory_order_relaxed),
           std::memory_order_relaxed);
     }
     tail_.store(t - 1, std::memory_order_release);

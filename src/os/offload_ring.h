@@ -57,12 +57,8 @@ class SpscRing {
 
   explicit SpscRing(unsigned depth);
 
-  // Usable slots. Safe to query lock-free concurrently with a
-  // freeze-swap resize() (the only writer of mask_): the load is
-  // relaxed and a stale answer merely delays one tuner decision.
-  unsigned capacity() const {
-    return mask_.load(std::memory_order_relaxed);
-  }
+  // Usable slots.
+  unsigned capacity() const { return mask_; }
 
   // Producer side. False when full (the caller falls back).
   bool push(uint64_t v);
@@ -81,17 +77,6 @@ class SpscRing {
   // Cumulative successful pops -- the engine's drain-rate observation
   // point (DReAM-style observed-counter pacing reads the delta).
   uint64_t pops() const { return pops_.load(std::memory_order_relaxed); }
-
-  // Re-sizes the ring in place to `depth` usable slots (rounded up to a
-  // power of two, min 4), DISCARDING the slot contents -- the caller
-  // must hold both sides frozen and have captured every parked value
-  // via snapshot() first, re-pushing (or re-homing) them afterwards so
-  // frame conservation holds across the swap. snapshot() rather than
-  // drain_all() keeps the cumulative pops_ counter honest: pops_ counts
-  // *consumer-side* pops and deliberately survives the resize -- the
-  // engine paces off its deltas, and either resetting or inflating it
-  // mid-watch would corrupt the next delta.
-  void resize(unsigned depth);
 
   // Pops everything (consumer side). Teardown/exit drains use this with
   // both sides frozen, acting as the consumer.
@@ -113,10 +98,7 @@ class SpscRing {
   alignas(64) std::atomic<uint32_t> head_{0};  // consumer index
   alignas(64) std::atomic<uint32_t> tail_{0};  // producer index
   alignas(64) std::atomic<uint64_t> pops_{0};
-  // Atomic only for the unguarded capacity() query racing a resize;
-  // push/pop/snapshot/steal are serialized against resize by the ring
-  // guards (resize requires both sides frozen), so they load relaxed.
-  std::atomic<uint32_t> mask_;
+  const uint32_t mask_;
   std::unique_ptr<Slot[]> slots_;
 };
 
@@ -150,20 +132,12 @@ struct TaskRings {
   RingSideGuard alloc_guard; // app consumer side of `completion`
   RingSideGuard free_guard;  // app producer side of `request`
   // Engine side of *both* rings. One allocator worker at a time may
-  // service, drain or resize this task; per-node workers each spin-own
+  // service or drain this task; per-node workers each spin-own
   // the guard of the tasks homed on their node, so two workers on two
   // nodes never serialize on a shared lock (the registry's mu_ shrinks
   // to attach + freeze + registry iteration). Acquisition order for
   // full freezes: registry mu_ -> engine_guard -> app guards.
   RingSideGuard engine_guard;
-  // Per-task stall observation points for the adaptive depth tuner
-  // (DReAM-style: the tuner reads deltas and EWMA-smooths them).
-  // full_stalls: frees that found the request ring full (ring too
-  // shallow for the task's free burst). empty_stalls: colored faults
-  // that found the completion ring empty or the guard busy (demand
-  // outrunning restock).
-  std::atomic<uint64_t> full_stalls{0};
-  std::atomic<uint64_t> empty_stalls{0};
   // Producer side of `completion`. Normally the engine's (restock +
   // absorb-recycle, under the engine lock), but the *direct recycle*
   // fast path lets free_pages push a still-valid frame straight back
@@ -209,8 +183,8 @@ class OffloadRings {
   TaskRings* attach(TaskId id);
 
   // Registry lock: attach, registry iteration and full freezes hold
-  // it. Per-task engine-side ring operations (restock, absorb, drains,
-  // resizes) serialize on the task's own engine_guard instead, so
+  // it. Per-task engine-side ring operations (restock, absorb, drains)
+  // serialize on the task's own engine_guard instead, so
   // per-node allocator workers never contend here.
   void lock() const { mu_.lock(); }
   void unlock() const { mu_.unlock(); }

@@ -24,10 +24,7 @@ Pfn PageMagazine::pop(uint64_t cursor) {
 }
 
 bool PageMagazine::push(Pfn pfn, std::vector<PageInfo>& pages) {
-  // One capacity read per push: a concurrent set_capacity lands on the
-  // next push, never mid-decision.
-  const unsigned cap = capacity();
-  if (cap == 0) return false;
+  if (cap_ == 0) return false;
   PageInfo& pi = pages[pfn];
   const uint32_t key = key_of(pi);
   std::lock_guard<Mu> lk(mu_);
@@ -40,9 +37,9 @@ bool PageMagazine::push(Pfn pfn, std::vector<PageInfo>& pages) {
   if (!bin) {
     bins_.push_back({key, {}});
     bin = &bins_.back();
-    bin->frames.reserve(cap);
+    bin->frames.reserve(cap_);
   }
-  if (bin->frames.size() >= cap) return false;
+  if (bin->frames.size() >= cap_) return false;
   TINT_DASSERT(pi.state != PageState::kMagazine);
   bin->frames.push_back(pfn);
   pi.state = PageState::kMagazine;

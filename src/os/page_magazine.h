@@ -39,15 +39,7 @@ class PageMagazine {
   explicit PageMagazine(unsigned capacity) : cap_(capacity) {}
 
   bool enabled() const { return capacity() > 0; }
-  unsigned capacity() const { return cap_.load(std::memory_order_relaxed); }
-
-  // Re-sizes the per-combo cap live (the adaptive tuner,
-  // Kernel::adapt_magazines). Takes effect against concurrent pushes
-  // immediately; shrinking does not evict already-cached frames -- they
-  // drain through the normal triggers (pops, exits, pressure).
-  void set_capacity(unsigned cap) {
-    cap_.store(cap, std::memory_order_relaxed);
-  }
+  unsigned capacity() const { return cap_; }
 
   // Total cached frames; lock-free, so an empty magazine costs one
   // relaxed load on the allocation path.
@@ -105,7 +97,7 @@ class PageMagazine {
   }
   std::vector<Pfn> drain_matching_locked(uint32_t key_lo, uint32_t key_hi);
 
-  std::atomic<unsigned> cap_;
+  const unsigned cap_;
   std::vector<Bin> bins_;  // guarded by mu_
   std::atomic<uint64_t> total_{0};
   mutable util::RankedMutex<util::lock_rank::kMagazine> mu_;

@@ -173,18 +173,6 @@ class Task {
   PageMagazine& magazine() { return magazine_; }
   const PageMagazine& magazine() const { return magazine_; }
 
-  // Adaptive-magazine tuner scratch (Kernel::adapt_magazines): the
-  // hit/miss totals last observed and the hit-fraction EWMA built from
-  // the deltas. Written by the single control-plane tuner only --
-  // deliberately unsynchronized, like the guard/admission per-tenant
-  // bookkeeping.
-  struct MagTune {
-    uint64_t hits_seen = 0;
-    uint64_t misses_seen = 0;
-    double ewma = -1.0;  // < 0: no observation yet
-  };
-  MagTune& mag_tune() { return mag_tune_; }
-
  private:
   // Builds the materialized lists and flags of `cs` from its bitmaps.
   static void rebuild_lists(ColorSet& cs);
@@ -207,7 +195,6 @@ class Task {
   std::atomic<uint8_t> alive_{1};
   TaskAllocStats stats_;
   PageMagazine magazine_;
-  MagTune mag_tune_;
 };
 
 // Growable task registry safe for concurrent create + lookup (the

@@ -67,9 +67,6 @@ bool OffloadEngine::watch(os::TaskId id) {
   Watch w;
   w.id = id;
   w.last_pops = kernel_.offload_ring_pops(id);
-  const os::Kernel::RingStallSnapshot st = kernel_.offload_ring_stalls(id);
-  w.last_full = st.full;
-  w.last_empty = st.empty;
   std::lock_guard lk(wk.mu);
   wk.watches.push_back(w);
   return true;
@@ -189,10 +186,6 @@ void OffloadEngine::rebalance_worker(size_t w) {
         Watch a;
         a.id = id;
         a.last_pops = kernel_.offload_ring_pops(id);
-        const os::Kernel::RingStallSnapshot st =
-            kernel_.offload_ring_stalls(id);
-        a.last_full = st.full;
-        a.last_empty = st.empty;
         std::lock_guard lk(wk.mu);
         wk.watches.push_back(a);
         stats_.parked_adopts.fetch_add(1, std::memory_order_relaxed);
@@ -258,7 +251,6 @@ bool OffloadEngine::service_worker(size_t w) {
       bump(&OffloadEngineStats::dead_task_drops, 1);
       continue;  // i now names the next watch
     }
-    if (oc.adaptive_ring) tune_ring(wk, wt);
     ++i;
   }
 
@@ -269,48 +261,6 @@ bool OffloadEngine::service_worker(size_t w) {
     wk.stats.busy_rounds.fetch_add(1, std::memory_order_relaxed);
   }
   return did_work;
-}
-
-void OffloadEngine::tune_ring(Worker& wk, Watch& w) {
-  // Feed the stall EWMAs every round; act only every tune interval so
-  // the freeze-swap resize is amortized over many rounds (the magazine
-  // tuner's grow/shrink idiom on ring geometry).
-  const os::Kernel::RingStallSnapshot st = kernel_.offload_ring_stalls(w.id);
-  const double df = static_cast<double>(st.full - w.last_full);
-  const double de = static_cast<double>(st.empty - w.last_empty);
-  w.last_full = st.full;
-  w.last_empty = st.empty;
-  w.full_ewma = cfg_.ewma_alpha * df + (1.0 - cfg_.ewma_alpha) * w.full_ewma;
-  w.empty_ewma = cfg_.ewma_alpha * de + (1.0 - cfg_.ewma_alpha) * w.empty_ewma;
-  if (++w.rounds_since_tune < cfg_.ring_tune_interval) return;
-  w.rounds_since_tune = 0;
-
-  const os::KernelConfig::OffloadConfig& oc = kernel_.config().offload;
-  // capacity() reports usable slots (one sacrificed); +1 recovers the
-  // configured power-of-two depth for the resize arithmetic.
-  const unsigned depth = kernel_.offload_ring_capacity(w.id) + 1;
-  if (depth <= 1) return;  // never attached (parked): nothing to tune
-  if ((w.full_ewma > cfg_.ring_grow_stalls ||
-       w.empty_ewma > cfg_.ring_grow_stalls) &&
-      depth < oc.ring_depth_max) {
-    // Sustained overflow (frees bouncing off a full request ring) or
-    // underrun (faults draining the stock faster than one round
-    // restocks): more buffer absorbs the burst.
-    if (kernel_.offload_resize_task(w.id, depth * 2)) {
-      stats_.ring_grows.fetch_add(1, std::memory_order_relaxed);
-      wk.stats.ring_grows.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (w.full_ewma < cfg_.ring_shrink_stalls &&
-             w.empty_ewma < cfg_.ring_shrink_stalls &&
-             depth > oc.ring_depth) {
-    // Quiet on both sides: give the frames back toward the configured
-    // floor.
-    const unsigned target = std::max(oc.ring_depth, depth / 2);
-    if (target < depth && kernel_.offload_resize_task(w.id, target)) {
-      stats_.ring_shrinks.fetch_add(1, std::memory_order_relaxed);
-      wk.stats.ring_shrinks.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 bool OffloadEngine::drain_heaps() {

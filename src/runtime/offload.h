@@ -27,12 +27,6 @@
 //     drain rate, DReAM-style: decisions follow measured counters), and
 //     restocks to `ewma * prefault_headroom` frames, clamped to
 //     [offload.min_stock, ring capacity];
-//   * with `offload.adaptive_ring` set it also EWMA-smooths the task's
-//     ring stall counters and re-sizes the rings through the kernel's
-//     freeze-swap resize: sustained full/empty stalls double the depth
-//     (up to offload.ring_depth_max), a quiet task shrinks back toward
-//     offload.ring_depth -- the magazine tuner's grow/shrink idiom
-//     applied to ring geometry;
 //   * a task watched while its home node is offline is *parked*, not
 //     serviced cross-node; the control plane adopts it onto the right
 //     worker when the node comes back (and parks live watches whose
@@ -75,25 +69,12 @@ class TintHeap;
 namespace tint::runtime {
 
 struct OffloadEngineConfig {
-  // EWMA smoothing factor for the per-task drain rate and the ring
-  // stall rates (0..1; higher = reacts faster to demand swings,
-  // forgets faster).
+  // EWMA smoothing factor for the per-task drain rate (0..1; higher =
+  // reacts faster to demand swings, forgets faster).
   double ewma_alpha = 0.3;
   // Background-thread sleep after a round in which no watched task
   // needed service. Busy rounds re-run immediately.
   std::chrono::microseconds idle_sleep{200};
-  // --- adaptive ring-depth tuner (armed by offload.adaptive_ring) ---
-  // Rounds between tuner decisions per task (every round still feeds
-  // the EWMAs; decisions are rate-limited so a resize's freeze-swap is
-  // amortized).
-  unsigned ring_tune_interval = 8;
-  // Stalls-per-round EWMA (full or empty) above which the task's ring
-  // depth doubles, up to offload.ring_depth_max.
-  double ring_grow_stalls = 1.0;
-  // Both stall EWMAs below this (with depth above offload.ring_depth)
-  // halves the depth back -- the shrink half of the magazine-tuner
-  // idiom.
-  double ring_shrink_stalls = 0.01;
   // --- idle-round scrub piggyback ---
   // Consecutive idle rounds after which the engine runs one
   // Kernel::scrub() pass (0 = never). Background mode ties the streak
@@ -111,8 +92,6 @@ struct OffloadEngineStats {
   std::atomic<uint64_t> heap_flushes{0};     // deferred tcache bins drained
   std::atomic<uint64_t> tasks_parked{0};     // watches parked: node offline
   std::atomic<uint64_t> parked_adopts{0};    // parked watches adopted back
-  std::atomic<uint64_t> ring_grows{0};       // tuner depth doublings
-  std::atomic<uint64_t> ring_shrinks{0};     // tuner depth halvings
   std::atomic<uint64_t> scrub_passes{0};     // idle-round scrubs run
 
   struct Snapshot {
@@ -125,8 +104,6 @@ struct OffloadEngineStats {
     uint64_t heap_flushes = 0;
     uint64_t tasks_parked = 0;
     uint64_t parked_adopts = 0;
-    uint64_t ring_grows = 0;
-    uint64_t ring_shrinks = 0;
     uint64_t scrub_passes = 0;
   };
   Snapshot snapshot() const {
@@ -136,8 +113,7 @@ struct OffloadEngineStats {
     return {ld(rounds_run),       ld(busy_rounds),   ld(frees_absorbed),
             ld(frames_recycled),  ld(frames_restocked),
             ld(dead_task_drops),  ld(heap_flushes),  ld(tasks_parked),
-            ld(parked_adopts),    ld(ring_grows),    ld(ring_shrinks),
-            ld(scrub_passes)};
+            ld(parked_adopts),    ld(scrub_passes)};
   }
 };
 
@@ -173,7 +149,7 @@ class OffloadEngine {
   // One engine round on the calling thread: rebalance (park watches of
   // offline nodes, adopt parked tasks of returned nodes), then every
   // worker's watches in worker order (measure drain rate -> compute
-  // restock target -> offload_service -> depth tuner), then the
+  // restock target -> offload_service), then the
   // attached heaps. Returns true when any frame moved (the background
   // loop's keep-going signal). Deterministic given quiescent rings;
   // safe from any thread, serialized internally.
@@ -204,12 +180,6 @@ class OffloadEngine {
     os::TaskId id = 0;
     uint64_t last_pops = 0;
     double ewma = -1.0;  // < 0: no observation yet
-    // Adaptive-depth tuner state (offload.adaptive_ring).
-    uint64_t last_full = 0;
-    uint64_t last_empty = 0;
-    double full_ewma = 0.0;
-    double empty_ewma = 0.0;
-    unsigned rounds_since_tune = 0;
   };
   struct Worker {
     unsigned index = 0;
@@ -236,8 +206,6 @@ class OffloadEngine {
   void rebalance_worker(size_t w);
   // Service every watch of one worker; returns true when frames moved.
   bool service_worker(size_t w);
-  // Depth-tuner decision for one watch (worker mu held).
-  void tune_ring(Worker& wk, Watch& w);
   bool drain_heaps();
   // One background-loop iteration for worker `w`.
   void worker_loop(size_t w);

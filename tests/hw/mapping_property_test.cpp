@@ -28,6 +28,12 @@ std::string geom_name(const ::testing::TestParamInfo<Geometry>& info) {
   return info.param.name;
 }
 
+// gtest prints an unprintable parameter as raw bytes, which here would be
+// the ASLR-dependent address of `name` plus struct padding, and ctest bakes
+// that into the discovered test name. Print the name instead so test names
+// are the same on every build.
+void PrintTo(const Geometry& g, std::ostream* os) { *os << g.name; }
+
 Topology make(const Geometry& g) {
   Topology t;
   t.sockets = g.sockets;

@@ -363,5 +363,23 @@ TEST_F(KernelTest, RegionReuseMakesRunsOfRemotePages) {
   EXPECT_LT(transitions, 40u);
 }
 
+TEST_F(KernelTest, BootShardsFollowTopologyAndCombos) {
+  // tiny(): 4 cores -> 64 combos in flight.
+  // Few combos: the combo count wins, floored at 16.
+  EXPECT_EQ(boot_color_shards(topo_, 1, 1), 16u);
+  EXPECT_EQ(boot_color_shards(topo_, 4, 4), 16u);
+  // Many combos: cores x 16 wins.
+  EXPECT_EQ(boot_color_shards(topo_, 64, 64), 64u);
+  // Non-power-of-two rounds up.
+  EXPECT_EQ(boot_color_shards(topo_, 24, 1), 32u);
+}
+
+TEST_F(KernelTest, BootShardsDerivedFromTopologyWhenUnset) {
+  Kernel k = make_kernel();  // color_shards = 0: derived at boot
+  EXPECT_EQ(k.color_lists().num_shards(),
+            boot_color_shards(topo_, map_.num_bank_colors(),
+                              map_.num_llc_colors()));
+}
+
 }  // namespace
 }  // namespace tint::os

@@ -289,78 +289,5 @@ TEST_F(MagazineTest, ZeroCapacityIsInert) {
   EXPECT_EQ(s.batch_refills, 0u);
 }
 
-// --- the adaptive capacity tuner (Kernel::adapt_magazines) ---
-
-// Without the cap knob the tuner is inert: no pass ever resizes, so
-// the configured capacity is exact (the determinism goldens rely on
-// this default).
-TEST_F(MagazineTest, AdaptDisabledWithoutCapKnob) {
-  Kernel k = make_kernel(magazine_config(4));
-  const TaskId t = make_colored_task(k);
-  for (int i = 0; i < 40; ++i) {
-    const MappedPage m = fault_one(k, t);
-    ASSERT_TRUE(k.munmap(t, m.va, topo_.page_bytes()));
-  }
-  const auto rep = k.adapt_magazines();
-  EXPECT_EQ(rep.observed, 0u);
-  EXPECT_EQ(k.task(t).magazine().capacity(), 4u);
-}
-
-// Miss-heavy traffic grows the magazine (bounded by the cap knob);
-// sustained hit-saturated traffic shrinks it back toward the floor.
-TEST_F(MagazineTest, AdaptGrowsOnMissesAndShrinksWhenSaturated) {
-  KernelConfig cfg = magazine_config(/*capacity=*/4);
-  cfg.magazine_capacity_max = 32;
-  Kernel k = make_kernel(cfg);
-  const TaskId t = make_colored_task(k);
-
-  // Phase 1 -- all misses: 20 simultaneous live pages start from an
-  // empty magazine every time.
-  std::vector<MappedPage> live;
-  for (int i = 0; i < 20; ++i) live.push_back(fault_one(k, t));
-  for (const auto& m : live) ASSERT_TRUE(k.munmap(t, m.va, topo_.page_bytes()));
-  const auto rep1 = k.adapt_magazines();
-  EXPECT_EQ(rep1.observed, 1u);
-  EXPECT_EQ(rep1.grown, 1u);
-  EXPECT_EQ(k.task(t).magazine().capacity(), 8u);
-  EXPECT_GE(k.stats().snapshot().magazine_grows, 1u);
-
-  // Phase 2 -- hit-saturated: single-page fault/free round-trips served
-  // from the (now warm) magazine. The EWMA climbs geometrically, so a
-  // few passes cross the shrink threshold.
-  unsigned shrunk = 0;
-  for (int pass = 0; pass < 16 && shrunk == 0; ++pass) {
-    for (int i = 0; i < 20; ++i) {
-      const MappedPage m = fault_one(k, t);
-      ASSERT_TRUE(k.munmap(t, m.va, topo_.page_bytes()));
-    }
-    shrunk += k.adapt_magazines().shrunk;
-  }
-  EXPECT_EQ(shrunk, 1u);
-  EXPECT_LT(k.task(t).magazine().capacity(), 32u);
-  // Never below the configured floor.
-  EXPECT_GE(k.task(t).magazine().capacity(), 4u);
-  EXPECT_GE(k.stats().snapshot().magazine_shrinks, 1u);
-
-  const auto inv = k.check_invariants();
-  EXPECT_TRUE(inv.ok) << inv.detail;
-}
-
-// A dead task is never tuned: its counters stay frozen and its
-// magazine capacity untouched.
-TEST_F(MagazineTest, AdaptSkipsDeadTasks) {
-  KernelConfig cfg = magazine_config(4);
-  cfg.magazine_capacity_max = 32;
-  Kernel k = make_kernel(cfg);
-  const TaskId t = make_colored_task(k);
-  std::vector<MappedPage> live;
-  for (int i = 0; i < 20; ++i) live.push_back(fault_one(k, t));
-  for (const auto& m : live) ASSERT_TRUE(k.munmap(t, m.va, topo_.page_bytes()));
-  k.exit_task(t);
-  const auto rep = k.adapt_magazines();
-  EXPECT_EQ(rep.observed, 0u);
-  EXPECT_EQ(k.task(t).magazine().capacity(), 4u);
-}
-
 }  // namespace
 }  // namespace tint::os

@@ -28,6 +28,11 @@ std::string case_name(const ::testing::TestParamInfo<MachineCase>& info) {
   return info.param.name;
 }
 
+// Without this gtest prints the parameter as raw bytes (two ASLR-dependent
+// pointers) and ctest bakes them into the test name; see
+// mapping_property_test.cpp.
+void PrintTo(const MachineCase& c, std::ostream* os) { *os << c.name; }
+
 class ContentionProperty : public ::testing::TestWithParam<MachineCase> {
  protected:
   ContentionProperty()
