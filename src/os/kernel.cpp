@@ -1636,11 +1636,21 @@ Kernel::MigrateResult Kernel::migrate_locked(VirtAddr va, bool poison_old,
   MigrateResult res;
   const uint64_t vpn = page_table_.vpn_of(va);
   Pfn old_pfn = kNoPage;
+  bool huge = false;
+  TaskId owner = kNoTask;
   {
+    // The frame's metadata is read under the same hold that found the
+    // mapping: a concurrent migration must take pt_lock_ exclusively to
+    // remap the page before it frees old_pfn, so the frame cannot be
+    // recycled while this hold lasts.
     std::shared_lock pt(pt_lock_);
-    if (const auto p = page_table_.lookup(va)) old_pfn = *p;
+    if (const auto p = page_table_.lookup(va)) {
+      old_pfn = *p;
+      huge = pages_[old_pfn].huge;
+      owner = pages_[old_pfn].owner;
+    }
   }
-  if (old_pfn == kNoPage || pages_[old_pfn].huge) {
+  if (old_pfn == kNoPage || huge) {
     res.error = AllocError::kInvalidArgument;
     return res;
   }
@@ -1650,7 +1660,6 @@ Kernel::MigrateResult Kernel::migrate_locked(VirtAddr va, bool poison_old,
     return res;
   }
   res.old_pfn = old_pfn;
-  const TaskId owner = pages_[old_pfn].owner;
   if (owner == kNoTask) {
     res.error = AllocError::kInvalidArgument;
     return res;

@@ -22,31 +22,41 @@ SectionTiming ParallelEngine::run_parallel(std::span<const os::TaskId> tasks,
   TINT_ASSERT(tasks.size() == streams.size() && !tasks.empty());
   const size_t n = tasks.size();
 
-  std::vector<Cycles> clock(n, start);
-  std::vector<bool> done(n, false);
+  // Scheduling key per thread: its clock while it runs, kFinished once
+  // its stream has ended (the clock then moves to `end`), so a finished
+  // thread never wins the argmin.
+  constexpr Cycles kFinished = ~Cycles{0};
+  std::vector<Cycles> key(n, start);
+  std::vector<Cycles> end(n);
   size_t running = n;
 
   // Earliest-thread-first interleaving. With at most a few dozen threads
   // a linear argmin scan beats a heap and is trivially deterministic
-  // (ties resolve to the lowest thread index).
+  // (ties resolve to the lowest thread index: only a strictly smaller key
+  // moves the pick). The scan is written as selects so it compiles to
+  // conditional moves instead of unpredictable branches.
   while (running > 0) {
-    size_t pick = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (done[i]) continue;
-      if (pick == n || clock[i] < clock[pick]) pick = i;
+    size_t pick = 0;
+    Cycles best = key[0];
+    for (size_t i = 1; i < n; ++i) {
+      const bool earlier = key[i] < best;
+      pick = earlier ? i : pick;
+      best = earlier ? key[i] : best;
     }
     Op op;
     if (!streams[pick]->next(op)) {
-      done[pick] = true;
+      end[pick] = key[pick];
+      key[pick] = kFinished;
       --running;
       continue;
     }
-    clock[pick] += execute(tasks[pick], op, clock[pick]);
+    key[pick] += execute(tasks[pick], op, key[pick]);
+    TINT_DASSERT(key[pick] != kFinished);
   }
 
   SectionTiming timing;
   timing.start = start;
-  timing.end = std::move(clock);
+  timing.end = std::move(end);
   return timing;
 }
 

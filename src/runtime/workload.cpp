@@ -427,13 +427,21 @@ RunResult WorkloadRunner::run(const WorkloadSpec& spec, core::Policy policy,
   const sim::MemorySystem& ms = session.memsys();
   uint64_t dram = 0, remote = 0, acc = 0;
   double lat_sum = 0;
+  std::vector<const sim::Cache*> llcs;
   for (unsigned c = 0; c < session.topology().num_cores(); ++c) {
     const sim::CoreStats& cs = ms.core_stats(c);
     dram += cs.dram_accesses;
     remote += cs.remote_dram_accesses;
     acc += cs.accesses;
     lat_sum += static_cast<double>(cs.total_latency);
+    res.l1_hits += cs.l1_hits;
+    res.l2_hits += cs.l2_hits;
+    res.llc_hits += cs.llc_hits;
+    if (std::find(llcs.begin(), llcs.end(), &ms.llc(c)) == llcs.end())
+      llcs.push_back(&ms.llc(c));
   }
+  for (const sim::Cache* llc : llcs)
+    res.llc_cross_evictions += llc->stats().cross_requester_evictions;
   res.dram_remote_fraction =
       dram ? static_cast<double>(remote) / static_cast<double>(dram) : 0.0;
   res.avg_access_latency = acc ? lat_sum / static_cast<double>(acc) : 0.0;
@@ -443,7 +451,10 @@ RunResult WorkloadRunner::run(const WorkloadSpec& spec, core::Policy policy,
     const sim::DramStats& ds = ms.controller(n).stats();
     dram_acc += ds.accesses;
     row_hits += ds.row_hits;
+    res.row_conflicts += ds.row_conflicts;
+    res.writebacks += ds.writebacks;
   }
+  res.row_hits = row_hits;
   res.row_hit_rate = dram_acc ? static_cast<double>(row_hits) /
                                     static_cast<double>(dram_acc)
                               : 0.0;

@@ -194,6 +194,16 @@ struct RunResult {
   double llc_miss_rate = 0;
   double avg_access_latency = 0;
   double row_hit_rate = 0;
+  // Memory-hierarchy event counts: hits per level summed over cores,
+  // cross-requester evictions summed over LLC instances, DRAM row
+  // outcomes and posted writebacks summed over controllers.
+  uint64_t l1_hits = 0;
+  uint64_t l2_hits = 0;
+  uint64_t llc_hits = 0;
+  uint64_t llc_cross_evictions = 0;
+  uint64_t row_hits = 0;
+  uint64_t row_conflicts = 0;
+  uint64_t writebacks = 0;
   // RAS behaviour (all zero unless a DRAM fault model or ECC failpoints
   // were active during the run).
   uint64_t frames_poisoned = 0;

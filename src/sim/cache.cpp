@@ -3,134 +3,129 @@
 #include <algorithm>
 #include <bit>
 
-#include "util/assert.h"
-
 namespace tint::sim {
 
 Cache::Cache(unsigned sets, unsigned ways, unsigned line_bytes,
              unsigned requesters)
-    : sets_(sets), ways_(ways), line_bytes_(line_bytes),
-      lines_(static_cast<size_t>(sets) * ways),
-      per_requester_(requesters) {
+    : sets_(sets), ways_(ways), requesters_(requesters),
+      line_shift_(static_cast<unsigned>(std::countr_zero(line_bytes))),
+      set_shift_(static_cast<unsigned>(std::countr_zero(sets))),
+      tag_shift_(line_shift_ + set_shift_) {
   TINT_ASSERT_MSG(std::has_single_bit(sets), "set count must be power of two");
-  TINT_ASSERT(ways >= 1 && line_bytes >= 16 && requesters >= 1);
+  TINT_ASSERT_MSG(std::has_single_bit(line_bytes),
+                  "line size must be power of two");
+  TINT_ASSERT(ways >= 1 && ways <= 256 && line_bytes >= 16);
+  TINT_ASSERT_MSG(requesters >= 1 && requesters <= UINT16_MAX + 1u,
+                  "requester ids must fit the 16-bit owner field");
+  const size_t n = static_cast<size_t>(sets) * ways;
+  constexpr size_t kSlack = kHostLine / sizeof(Way) - 1;
+  ways_mem_.resize(n + kSlack);
+  const auto addr = reinterpret_cast<uintptr_t>(ways_mem_.data());
+  ways0_ = ways_mem_.data() +
+           ((kHostLine - addr % kHostLine) % kHostLine) / sizeof(Way);
+  // Every set starts empty with the identity rank permutation.
+  Way* w = ways0_;
+  for (unsigned s = 0; s < sets; ++s)
+    for (unsigned i = 0; i < ways; ++i)
+      *w++ = Way{0, 0, static_cast<uint8_t>(i), 0};
   if (requesters > 1) set_cross_evictions_.assign(sets, 0);
 }
 
-CacheAccessResult Cache::access(PhysAddr addr, bool write, unsigned requester) {
-  TINT_DASSERT(requester < per_requester_.size());
-  const unsigned set = set_of(addr);
-  const uint64_t tag = tag_of(addr);
-  Line* const base = &lines_[static_cast<size_t>(set) * ways_];
-
-  ++stats_.accesses;
-  ++per_requester_[requester].accesses;
-  ++stamp_;
-
-  CacheAccessResult res;
-  Line* victim = nullptr;
+Cache::Way* Cache::find(Way* base, uint32_t tag, Way** lru) const {
+  const unsigned last = ways_ - 1;
   for (unsigned w = 0; w < ways_; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      l.lru = stamp_;
-      l.dirty = l.dirty || write;
-      res.hit = true;
-      ++stats_.hits;
-      ++per_requester_[requester].hits;
-      return res;
-    }
-    if (!victim || !l.valid || (victim->valid && l.lru < victim->lru))
-      victim = &l;
+    if (base[w].tag == tag && (base[w].flags & kValid)) return &base[w];
+    if (base[w].rank == last) *lru = &base[w];
+  }
+  return nullptr;
+}
+
+CacheAccessResult Cache::fill(Way* base, unsigned set, Way* lru, uint32_t tag,
+                              bool dirty, unsigned requester) {
+  CacheAccessResult res;
+  if (lru->flags & kValid) {
+    res.evicted = true;
+    res.evicted_dirty = (lru->flags & kDirty) != 0;
+    res.evicted_line = line_base(lru->tag, set);
+    ++stats_.evictions;
+    if (res.evicted_dirty) ++stats_.dirty_evictions;
+  }
+  // The LRU way holds rank ways-1, so every other way ages by one.
+  for (unsigned w = 0; w < ways_; ++w) ++base[w].rank;
+  *lru = Way{tag, static_cast<uint16_t>(requester), 0,
+             static_cast<uint8_t>(dirty ? kValid | kDirty : kValid)};
+  return res;
+}
+
+CacheAccessResult Cache::access(PhysAddr addr, bool write, unsigned requester) {
+  TINT_DASSERT(requester < requesters_);
+  const unsigned set = set_of(addr);
+  const uint32_t tag = tag_of(addr);
+  Way* const base = set_base(set);
+  ++stats_.accesses;
+
+  Way* lru = nullptr;
+  if (Way* const hit = find(base, tag, &lru)) {
+    // Ways more recent than the hit age by one; the hit becomes MRU.
+    const uint8_t r = hit->rank;
+    for (unsigned w = 0; w < ways_; ++w) base[w].rank += base[w].rank < r;
+    hit->rank = 0;
+    if (write) hit->flags |= kDirty;
+    ++stats_.hits;
+    CacheAccessResult res;
+    res.hit = true;
+    return res;
   }
 
   ++stats_.misses;
-  ++per_requester_[requester].misses;
-
-  if (victim->valid) {
-    res.evicted = true;
-    res.evicted_dirty = victim->dirty;
-    res.evicted_line = line_base(victim->tag, set);
-    ++stats_.evictions;
-    if (victim->dirty) ++stats_.dirty_evictions;
-    if (victim->owner != requester) {
-      ++stats_.cross_requester_evictions;
-      ++per_requester_[requester].cross_requester_evictions;
-      if (!set_cross_evictions_.empty()) ++set_cross_evictions_[set];
-    }
+  if ((lru->flags & kValid) && lru->owner != requester) {
+    ++stats_.cross_requester_evictions;
+    if (!set_cross_evictions_.empty()) ++set_cross_evictions_[set];
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = stamp_;
-  victim->dirty = write;
-  victim->owner = requester;
-  return res;
+  return fill(base, set, lru, tag, write, requester);
 }
 
 CacheAccessResult Cache::install(PhysAddr addr, bool dirty,
                                  unsigned requester) {
-  TINT_DASSERT(requester < per_requester_.size());
+  TINT_DASSERT(requester < requesters_);
   const unsigned set = set_of(addr);
-  const uint64_t tag = tag_of(addr);
-  Line* const base = &lines_[static_cast<size_t>(set) * ways_];
-  ++stamp_;
+  const uint32_t tag = tag_of(addr);
+  Way* const base = set_base(set);
 
-  CacheAccessResult res;
-  Line* victim = nullptr;
-  for (unsigned w = 0; w < ways_; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      l.dirty = l.dirty || dirty;
-      res.hit = true;
-      return res;
-    }
-    if (!victim || !l.valid || (victim->valid && l.lru < victim->lru))
-      victim = &l;
+  Way* lru = nullptr;
+  if (Way* const hit = find(base, tag, &lru)) {
+    if (dirty) hit->flags |= kDirty;
+    CacheAccessResult res;
+    res.hit = true;
+    return res;
   }
-  if (victim->valid) {
-    res.evicted = true;
-    res.evicted_dirty = victim->dirty;
-    res.evicted_line = line_base(victim->tag, set);
-    ++stats_.evictions;
-    if (victim->dirty) ++stats_.dirty_evictions;
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = stamp_;
-  victim->dirty = dirty;
-  victim->owner = requester;
-  return res;
+  return fill(base, set, lru, tag, dirty, requester);
 }
 
 bool Cache::contains(PhysAddr addr) const {
-  const unsigned set = set_of(addr);
-  const uint64_t tag = tag_of(addr);
-  const Line* base = &lines_[static_cast<size_t>(set) * ways_];
-  for (unsigned w = 0; w < ways_; ++w)
-    if (base[w].valid && base[w].tag == tag) return true;
-  return false;
+  Way* lru = nullptr;
+  return find(set_base(set_of(addr)), tag_of(addr), &lru) != nullptr;
 }
 
 bool Cache::invalidate(PhysAddr addr) {
-  const unsigned set = set_of(addr);
-  const uint64_t tag = tag_of(addr);
-  Line* const base = &lines_[static_cast<size_t>(set) * ways_];
-  for (unsigned w = 0; w < ways_; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      const bool dirty = l.dirty;
-      l = Line{};
-      return dirty;
-    }
-  }
-  return false;
+  Way* const base = set_base(set_of(addr));
+  Way* lru = nullptr;
+  Way* const hit = find(base, tag_of(addr), &lru);
+  if (!hit) return false;
+  // The freed way becomes the LRU; the ways older than it move up by one.
+  const uint8_t r = hit->rank;
+  for (unsigned w = 0; w < ways_; ++w) base[w].rank -= base[w].rank > r;
+  const bool dirty = (hit->flags & kDirty) != 0;
+  *hit = Way{0, 0, static_cast<uint8_t>(ways_ - 1), 0};
+  return dirty;
 }
 
 void Cache::clear(bool clear_stats) {
-  for (auto& l : lines_) l = Line{};
-  stamp_ = 0;
+  // Ranks stay a permutation per set; with every way invalid any order is
+  // a valid LRU order.
+  for (Way& w : ways_mem_) w.flags = 0;
   if (clear_stats) {
     stats_ = CacheStats{};
-    for (auto& s : per_requester_) s = CacheStats{};
     std::fill(set_cross_evictions_.begin(), set_cross_evictions_.end(), 0);
   }
 }

@@ -4,16 +4,18 @@
 // + write-allocate. The model tracks tags only (no data); the simulator's
 // workloads are address streams.
 //
-// The shared LLC instance additionally attributes hits/misses/evictions
-// to the requesting core so the experiment driver can observe inter-task
-// interference ("one task's reference may replace data in LLC of another
-// task's prior references", Section II.A).
+// Every line records the requester that inserted it, so the shared LLC
+// counts evictions of one core's line by another core, in total and per
+// set, and the experiment driver can observe inter-task interference
+// ("one task's reference may replace data in LLC of another task's prior
+// references", Section II.A).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "hw/topology.h"
+#include "util/assert.h"
 
 namespace tint::sim {
 
@@ -46,20 +48,34 @@ struct CacheAccessResult {
 
 class Cache {
  public:
-  // `sets` must be a power of two. `requesters` > 1 enables per-requester
-  // attribution (used by the shared LLC).
+  // `sets` and `line_bytes` must be powers of two and `ways` at most 256.
+  // `requesters` > 1 enables per-set interference attribution (used by
+  // the shared LLC) and must fit the 16-bit owner field.
   Cache(unsigned sets, unsigned ways, unsigned line_bytes,
         unsigned requesters = 1);
+  // Not copyable: the way pointer points into the cache's own storage.
+  Cache(const Cache&) = delete;
+  Cache& operator=(const Cache&) = delete;
 
   // Looks up `addr`; on miss, fills the line (evicting LRU). `write`
-  // marks the line dirty. `requester` attributes the access.
+  // marks the line dirty. `requester` is recorded as the line's owner so
+  // a later eviction by another requester counts as cross-requester.
   CacheAccessResult access(PhysAddr addr, bool write, unsigned requester = 0);
 
   // Inserts a line without counting an access (victim traffic from an
   // upper cache level). If the line is already present it is merely
-  // marked dirty. Returns the eviction outcome so callers can cascade
-  // victims further down the hierarchy.
+  // marked dirty; its recency is left alone. Returns the eviction outcome
+  // so callers can cascade victims further down the hierarchy.
   CacheAccessResult install(PhysAddr addr, bool dirty, unsigned requester = 0);
+
+  // Asks the host to start loading the tag state of `addr`'s set. Changes
+  // nothing in the model; lets a caller overlap the host misses of the
+  // levels it is about to look up.
+  void prefetch(PhysAddr addr) const {
+    const Way* const base = set_base(set_of(addr));
+    __builtin_prefetch(base);
+    __builtin_prefetch(base + (ways_ - 1));
+  }
 
   // Lookup without fill or LRU update (for tests/inspection).
   bool contains(PhysAddr addr) const;
@@ -72,9 +88,6 @@ class Cache {
   void clear(bool clear_stats = true);
 
   const CacheStats& stats() const { return stats_; }
-  const CacheStats& requester_stats(unsigned r) const {
-    return per_requester_.at(r);
-  }
   // --- per-set interference export (shared-LLC instances only) ---
   // Cross-requester evictions attributed to the victim's set, kept only
   // when `requesters` > 1 so private L1/L2 levels pay nothing. The
@@ -86,30 +99,59 @@ class Cache {
   }
   unsigned sets() const { return sets_; }
   unsigned ways() const { return ways_; }
-  unsigned line_bytes() const { return line_bytes_; }
+  unsigned line_bytes() const { return 1u << line_shift_; }
   unsigned set_of(PhysAddr addr) const {
-    return static_cast<unsigned>((addr / line_bytes_) & (sets_ - 1));
+    return static_cast<unsigned>((addr >> line_shift_) & (sets_ - 1));
+  }
+  // Whether `addr`'s tag fits the 32-bit tag field of a way.
+  bool can_tag(PhysAddr addr) const {
+    return (addr >> tag_shift_) <= UINT32_MAX;
   }
 
  private:
-  struct Line {
-    uint64_t tag = 0;
-    uint64_t lru = 0;       // global stamp; larger = more recent
-    uint32_t owner = 0;     // requester that inserted the line
-    bool valid = false;
-    bool dirty = false;
+  // One way in 8 bytes, so an 8-way set fills one 64-byte host cache line
+  // and a 12-way set two. `rank` orders the ways of a set by recency
+  // (0 = MRU, ways-1 = LRU) and is always a permutation of 0..ways-1;
+  // invalid ways hold the highest ranks, so the LRU way is the victim
+  // whether or not the set is full.
+  struct Way {
+    uint32_t tag = 0;
+    uint16_t owner = 0;  // requester that inserted the line
+    uint8_t rank = 0;
+    uint8_t flags = 0;   // kValid | kDirty
   };
+  static_assert(sizeof(Way) == 8);
+  static constexpr uint8_t kValid = 1, kDirty = 2;
+  static constexpr size_t kHostLine = 64;
 
-  uint64_t tag_of(PhysAddr addr) const { return addr / line_bytes_ / sets_; }
-  PhysAddr line_base(uint64_t tag, unsigned set) const {
-    return (tag * sets_ + set) * line_bytes_;
+  Way* set_base(unsigned set) const {
+    return ways0_ + static_cast<size_t>(set) * ways_;
   }
+  uint32_t tag_of(PhysAddr addr) const {
+    TINT_DASSERT(can_tag(addr));
+    return static_cast<uint32_t>(addr >> tag_shift_);
+  }
+  PhysAddr line_base(uint32_t tag, unsigned set) const {
+    return ((static_cast<PhysAddr>(tag) << set_shift_) | set) << line_shift_;
+  }
+  // Returns the way holding `tag`, or nullptr and the set's LRU way in
+  // `*lru`.
+  Way* find(Way* base, uint32_t tag, Way** lru) const;
+  // Replaces the LRU way `lru` with `tag` as the set's MRU line; counts
+  // and returns the eviction.
+  CacheAccessResult fill(Way* base, unsigned set, Way* lru, uint32_t tag,
+                         bool dirty, unsigned requester);
 
-  unsigned sets_, ways_, line_bytes_;
-  std::vector<Line> lines_;  // sets_ * ways_, row-major by set
-  uint64_t stamp_ = 0;
+  unsigned sets_, ways_, requesters_;
+  unsigned line_shift_, set_shift_, tag_shift_;
+  // sets_ * ways_ ways, by set, from the first 64-byte boundary in
+  // `ways_mem_`. The vector is over-allocated by one host line instead of
+  // coming from an aligned allocator: glibc's memalign path stops a freed
+  // Session's heap from being reused, and each Session boot then
+  // page-faults ~13 MB afresh.
+  std::vector<Way> ways_mem_;
+  Way* ways0_ = nullptr;
   CacheStats stats_;
-  std::vector<CacheStats> per_requester_;
   std::vector<uint64_t> set_cross_evictions_;  // sized sets_ iff requesters > 1
 };
 

@@ -37,6 +37,12 @@ MemorySystem::MemorySystem(const hw::Topology& topo,
         topo.banks_per_rank, timing));
   }
   core_stats_.resize(cores);
+  // Ways store 32-bit tags: every level must tag the top of physical
+  // memory (addresses run contiguously from 0 over the nodes).
+  const PhysAddr top = topo.total_dram_bytes() - 1;
+  TINT_ASSERT_MSG(l1_[0]->can_tag(top) && l2_[0]->can_tag(top) &&
+                      llc_[0]->can_tag(top),
+                  "physical address space too large for 32-bit cache tags");
 }
 
 Cycles MemorySystem::access(unsigned core, PhysAddr addr, bool write,
@@ -64,6 +70,11 @@ Cycles MemorySystem::access(unsigned core, PhysAddr addr, bool write,
     if (r.evicted && r.evicted_dirty)
       spill_from_l2(l2_[core]->install(r.evicted_line, /*dirty=*/true));
   };
+
+  // The L2 and LLC sets are needed on every L1 miss; start their host
+  // loads now so they overlap the L1 lookup instead of following it.
+  l2_[core]->prefetch(line);
+  llc.prefetch(line);
 
   // L1.
   const CacheAccessResult l1_res = l1_[core]->access(line, write);

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/session.h"
@@ -55,7 +56,11 @@ TEST(Determinism, IdenticalSeedsIdenticalRuns) {
 // atomics or the TLB must leave the single-threaded simulation
 // *bit-for-bit* identical -- not merely self-consistent -- so the values
 // are asserted against these literals, not against a second run.
-// avg_access_latency is compared through its IEEE-754 bit pattern.
+// avg_access_latency is compared through its IEEE-754 bit pattern. The
+// hierarchy counters (hits per level, LLC cross-requester evictions,
+// DRAM row outcomes, writebacks) were captured with the stamp-LRU cache
+// model, so a change to the cache's layout or replacement bookkeeping
+// must reproduce its victims exactly.
 TEST(Determinism, SerialResultsMatchPreLockingGoldens) {
   struct Golden {
     core::Policy policy;
@@ -64,26 +69,36 @@ TEST(Determinism, SerialResultsMatchPreLockingGoldens) {
     uint64_t pages_touched;
     uint64_t remote_pages;
     uint64_t avg_latency_bits;
+    uint64_t l1_hits, l2_hits, llc_hits, llc_cross_evictions;
+    uint64_t row_hits, row_conflicts, writebacks;
   };
   const Golden goldens[] = {
       {core::Policy::kBuddy, 1082261ull, 401864ull, 272ull, 144ull,
-       0x40557d116b835c7full},
+       0x40557d116b835c7full, 3204, 6019, 13375, 0, 6946, 1485, 0},
       {core::Policy::kBpm, 1040799ull, 240303ull, 272ull, 176ull,
-       0x4054edbabed17707ull},
+       0x4054edbabed17707ull, 2673, 5387, 13374, 106, 9256, 201, 1484},
       {core::Policy::kMemLlc, 766193ull, 141616ull, 272ull, 0ull,
-       0x404ca98ac98c5b88ull},
+       0x404ca98ac98c5b88ull, 3016, 6005, 13577, 0, 8331, 40, 0},
   };
   WorkloadRunner runner(core::MachineConfig::tiny());
   const std::vector<unsigned> cores = {0, 1, 2, 3};
   for (const Golden& g : goldens) {
     const RunResult r = runner.run(spec(), g.policy, cores, 99);
-    EXPECT_EQ(r.total_runtime, g.total_runtime) << core::to_string(g.policy);
-    EXPECT_EQ(r.total_idle, g.total_idle) << core::to_string(g.policy);
-    EXPECT_EQ(r.pages_touched, g.pages_touched) << core::to_string(g.policy);
-    EXPECT_EQ(r.remote_pages, g.remote_pages) << core::to_string(g.policy);
+    const std::string_view p = core::to_string(g.policy);
+    EXPECT_EQ(r.total_runtime, g.total_runtime) << p;
+    EXPECT_EQ(r.total_idle, g.total_idle) << p;
+    EXPECT_EQ(r.pages_touched, g.pages_touched) << p;
+    EXPECT_EQ(r.remote_pages, g.remote_pages) << p;
     EXPECT_EQ(std::bit_cast<uint64_t>(r.avg_access_latency),
               g.avg_latency_bits)
-        << core::to_string(g.policy);
+        << p;
+    EXPECT_EQ(r.l1_hits, g.l1_hits) << p;
+    EXPECT_EQ(r.l2_hits, g.l2_hits) << p;
+    EXPECT_EQ(r.llc_hits, g.llc_hits) << p;
+    EXPECT_EQ(r.llc_cross_evictions, g.llc_cross_evictions) << p;
+    EXPECT_EQ(r.row_hits, g.row_hits) << p;
+    EXPECT_EQ(r.row_conflicts, g.row_conflicts) << p;
+    EXPECT_EQ(r.writebacks, g.writebacks) << p;
   }
 }
 

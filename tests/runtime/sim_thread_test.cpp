@@ -142,5 +142,52 @@ TEST_F(EngineTest, UnevenStreamsYieldIdle) {
   EXPECT_EQ(st.idle(1), 0u);
 }
 
+// Logs every next() call by stream index, and counts calls made after
+// the stream already reported its end.
+class LoggingStream final : public OpStream {
+ public:
+  LoggingStream(unsigned id, std::vector<Cycles> computes,
+                std::vector<unsigned>& log)
+      : id_(id), computes_(std::move(computes)), log_(log) {}
+  bool next(Op& op) override {
+    log_.push_back(id_);
+    if (i_ >= computes_.size()) {
+      calls_after_end_ += ended_;
+      ended_ = true;
+      return false;
+    }
+    op = compute(computes_[i_++]);
+    return true;
+  }
+  unsigned calls_after_end() const { return calls_after_end_; }
+
+ private:
+  unsigned id_;
+  std::vector<Cycles> computes_;
+  std::vector<unsigned>& log_;
+  size_t i_ = 0;
+  bool ended_ = false;
+  unsigned calls_after_end_ = 0;
+};
+
+TEST_F(EngineTest, EqualClocksPickLowestIndexAndFinishedStreamsStayDone) {
+  std::vector<unsigned> log;
+  LoggingStream s0(0, {10, 10}, log);
+  LoggingStream s1(1, {10}, log);
+  LoggingStream s2(2, {20}, log);
+  LoggingStream s3(3, {}, log);
+  OpStream* ptrs[] = {&s0, &s1, &s2, &s3};
+  const os::TaskId tasks[] = {session_.create_task(0), session_.create_task(1),
+                              session_.create_task(2), session_.create_task(3)};
+  const SectionTiming st = engine_.run_parallel(tasks, ptrs, 0);
+  // t=0: all four tie and run in index order; s3 ends at once. t=10: s0
+  // and s1 tie, s0 first; s1 ends. t=20: s0 and s2 tie; s0 ends, then s2.
+  const std::vector<unsigned> want = {0, 1, 2, 3, 0, 1, 0, 2};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(st.end, (std::vector<Cycles>{20, 10, 20, 0}));
+  for (const LoggingStream* s : {&s0, &s1, &s2, &s3})
+    EXPECT_EQ(s->calls_after_end(), 0u);
+}
+
 }  // namespace
 }  // namespace tint::runtime

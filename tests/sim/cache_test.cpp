@@ -68,9 +68,9 @@ TEST(Cache, PerRequesterAttribution) {
   const auto r = c.access(kLine, false, 1);  // requester 1 evicts it
   EXPECT_TRUE(r.evicted);
   EXPECT_EQ(c.stats().cross_requester_evictions, 1u);
-  EXPECT_EQ(c.requester_stats(0).misses, 1u);
-  EXPECT_EQ(c.requester_stats(1).misses, 1u);
-  EXPECT_EQ(c.requester_stats(1).cross_requester_evictions, 1u);
+  EXPECT_EQ(c.stats().misses, 2u);
+  ASSERT_TRUE(c.has_set_attribution());
+  EXPECT_EQ(c.set_cross_evictions(0), 1u);
 }
 
 TEST(Cache, SameRequesterEvictionNotCross) {
