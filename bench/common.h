@@ -9,8 +9,7 @@
 // Benches built on Google Benchmark use run_gbench_main() instead of
 // BENCHMARK_MAIN(): it adds a `--json <path>` flag that mirrors the full
 // machine-readable report (per-benchmark timings + counters) to a file
-// while keeping the console output, so CI can diff runs without scraping
-// stdout.
+// while keeping the console output.
 #pragma once
 
 #include <benchmark/benchmark.h>

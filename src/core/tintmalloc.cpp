@@ -6,24 +6,12 @@
 
 namespace tint::core {
 
-namespace {
-// Source of the per-instance generation stamp that keys the thread-local
-// cache memo (a new heap constructed at a recycled address must not
-// inherit the old memo).
-std::atomic<uint64_t> g_heap_gen{0};
-}  // namespace
-
 using ArenaLock = util::RankedMutex<util::lock_rank::kHeapArena>;
 
 TintHeap::TintHeap(os::Kernel& kernel, os::TaskId task, HeapConfig cfg)
-    : kernel_(kernel),
-      task_(task),
-      cfg_(cfg),
-      heap_gen_(g_heap_gen.fetch_add(1, std::memory_order_relaxed) + 1) {
+    : kernel_(kernel), task_(task), cfg_(cfg) {
   TINT_ASSERT(cfg_.chunk_pages >= 1);
   free_lists_.resize(std::size(kClasses));
-  node_free_.assign(kernel_.topology().num_nodes(),
-                    std::vector<std::vector<VirtAddr>>(std::size(kClasses)));
 }
 
 TintHeap::~TintHeap() { release_all(); }
@@ -32,153 +20,6 @@ int TintHeap::class_of(uint64_t size) {
   for (size_t i = 0; i < std::size(kClasses); ++i)
     if (size <= kClasses[i]) return static_cast<int>(i);
   return -1;  // large allocation
-}
-
-TintHeap::ThreadCache* TintHeap::this_cache() {
-  if (cfg_.tcache_depth == 0) return nullptr;
-  // One memo per thread covers the common one-heap-per-thread shape;
-  // a thread alternating between heaps just re-resolves via the
-  // registry. The generation check keeps a memo from surviving into a
-  // different heap constructed at the same address.
-  struct Memo {
-    const void* heap;
-    uint64_t gen;
-    ThreadCache* tc;
-  };
-  static thread_local Memo memo{nullptr, 0, nullptr};
-  if (memo.heap == this && memo.gen == heap_gen_) return memo.tc;
-  std::lock_guard<ArenaLock> lk(arena_);
-  auto& slot = caches_[std::this_thread::get_id()];
-  if (!slot) {
-    slot = std::make_unique<ThreadCache>(std::size(kClasses));
-    if (cfg_.deferred_flush_depth > 0)
-      slot->deferred = std::make_unique<os::SpscRing>(cfg_.deferred_flush_depth);
-  }
-  memo = {this, heap_gen_, slot.get()};
-  return slot.get();
-}
-
-bool TintHeap::tcache_refill(ThreadCache& tc, int cls) {
-  const uint64_t block = kClasses[cls];
-  const size_t want = std::max<size_t>(1, cfg_.tcache_depth / 2);
-  auto& bin = tc.bins[static_cast<size_t>(cls)];
-  const unsigned local = kernel_.task(task_).local_node();
-  std::lock_guard<ArenaLock> lk(arena_);
-  auto& fl = free_lists_[static_cast<size_t>(cls)];
-  auto& local_fl = node_free_[local][static_cast<size_t>(cls)];
-  while (bin.size() < want) {
-    VirtAddr va = 0;
-    // Locality order: blocks whose frames already sit on the task's node
-    // (routed there by a flush), then the generic list (slow-path frees
-    // and pristine carve blocks that will fault onto the right colors),
-    // then remote-node blocks, then a fresh carve.
-    if (!local_fl.empty()) {
-      va = local_fl.back();
-      local_fl.pop_back();
-      tc.local_refills.fetch_add(1, std::memory_order_relaxed);
-    } else if (!fl.empty()) {
-      va = fl.back();
-      fl.pop_back();
-    } else {
-      for (auto& per_node : node_free_) {
-        auto& nfl = per_node[static_cast<size_t>(cls)];
-        if (!nfl.empty()) {
-          va = nfl.back();
-          nfl.pop_back();
-          break;
-        }
-      }
-      if (va == 0) {
-        va = carve(block);
-        if (va == 0) break;  // kernel dry; the caller falls to the slow path
-      }
-    }
-    block_size_.emplace(va, block);
-    tc.cls_of.emplace(va, cls);
-    bin.push_back(va);
-  }
-  return !bin.empty();
-}
-
-void TintHeap::tcache_flush_bin(ThreadCache& tc, int cls, size_t keep) {
-  auto& bin = tc.bins[static_cast<size_t>(cls)];
-  if (bin.size() <= keep) return;
-  const size_t n = bin.size() - keep;
-  // Resolve each overflowing block's backing node *before* the flush so
-  // the blocks land on their node's list: a flush used to be node-blind,
-  // so a refill on another thread would inherit remote (and wrongly
-  // colored) frames. Unfaulted blocks have no frame yet and stay
-  // generic. Holding the arena while translating is fine -- kHeapArena
-  // is below every kernel rank.
-  uint64_t routed = 0;
-  std::lock_guard<ArenaLock> lk(arena_);
-  auto& fl = free_lists_[static_cast<size_t>(cls)];
-  for (size_t i = 0; i < n; ++i) {
-    block_size_.erase(bin[i]);
-    if (const auto pa = kernel_.translate(bin[i])) {
-      node_free_[kernel_.mapping().node_of(*pa)][static_cast<size_t>(cls)]
-          .push_back(bin[i]);
-      ++routed;
-    } else {
-      fl.push_back(bin[i]);
-    }
-  }
-  bin.erase(bin.begin(), bin.begin() + static_cast<std::ptrdiff_t>(n));
-  tc.flushes.fetch_add(n, std::memory_order_relaxed);
-  if (routed) tc.node_flushes.fetch_add(routed, std::memory_order_relaxed);
-}
-
-bool TintHeap::tcache_defer_bin(ThreadCache& tc, int cls, size_t keep) {
-  if (!tc.deferred) return false;
-  auto& bin = tc.bins[static_cast<size_t>(cls)];
-  const size_t n = bin.size() > keep ? bin.size() - keep : 0;
-  // Evict oldest-first (the bin front), same order the inline flush
-  // uses. Parked blocks keep their block_size_ entry -- the drain needs
-  // it to recover the class -- so conservation-wise they are still
-  // "cached", just invisible to this thread's bin scan.
-  size_t pushed = 0;
-  while (pushed < n && tc.deferred->push(bin[pushed])) ++pushed;
-  if (pushed > 0) {
-    bin.erase(bin.begin(), bin.begin() + static_cast<std::ptrdiff_t>(pushed));
-    tc.deferred_blocks.fetch_add(pushed, std::memory_order_relaxed);
-  }
-  // Ring full (the drain is behind): flush the remainder inline so the
-  // bin never grows unbounded.
-  if (bin.size() > keep) tcache_flush_bin(tc, cls, keep);
-  return true;
-}
-
-uint64_t TintHeap::drain_deferred_flushes() {
-  if (cfg_.tcache_depth == 0 || cfg_.deferred_flush_depth == 0) return 0;
-  std::lock_guard<ArenaLock> lk(arena_);
-  uint64_t drained = 0;
-  uint64_t routed = 0;
-  for (auto& [tid, tc] : caches_) {
-    if (!tc->deferred) continue;
-    for (;;) {
-      const VirtAddr va = tc->deferred->pop();
-      if (va == os::SpscRing::kEmpty) break;
-      const auto it = block_size_.find(va);
-      if (it == block_size_.end()) continue;  // swept by release_all
-      const int cls = class_of(it->second);
-      TINT_DASSERT(cls >= 0);
-      block_size_.erase(it);
-      // Node-routed like the inline flush: the block's frame keeps the
-      // coloring locality its fault gave it.
-      if (const auto pa = kernel_.translate(va)) {
-        node_free_[kernel_.mapping().node_of(*pa)][static_cast<size_t>(cls)]
-            .push_back(va);
-        ++routed;
-      } else {
-        free_lists_[static_cast<size_t>(cls)].push_back(va);
-      }
-      ++drained;
-    }
-  }
-  stats_.tcache_bg_flushes += drained;
-  stats_.tcache_flushes += drained;
-  stats_.tcache_node_flushes += routed;
-  return drained;
 }
 
 VirtAddr TintHeap::fail_malloc(os::AllocError why) {
@@ -203,35 +44,7 @@ bool TintHeap::populate_range(VirtAddr va, uint64_t len, uint64_t stride) {
 VirtAddr TintHeap::malloc(uint64_t size) {
   if (size == 0) size = 1;
   const int cls = class_of(size);
-  if (cls >= 0) {
-    if (ThreadCache* tc = this_cache()) {
-      auto& bin = tc->bins[static_cast<size_t>(cls)];
-      if (bin.empty()) tcache_refill(*tc, cls);
-      if (!bin.empty()) {
-        const VirtAddr va = bin.back();
-        bin.pop_back();
-        if (cfg_.populate && !populate_range(va, kClasses[cls])) {
-          bin.push_back(va);  // stays cached for a later retry
-          std::lock_guard<ArenaLock> lk(arena_);
-          return fail_malloc(last_error());
-        }
-        tc->hits.fetch_add(1, std::memory_order_relaxed);
-        tc->mallocs.fetch_add(1, std::memory_order_relaxed);
-        tc->bytes_requested.fetch_add(size, std::memory_order_relaxed);
-        tc->live_delta.fetch_add(static_cast<int64_t>(size),
-                                 std::memory_order_relaxed);
-        last_error_.store(os::AllocError::kOk, std::memory_order_relaxed);
-        return va;
-      }
-      // Arena and kernel both dry: fall through so the slow path records
-      // the failure exactly like the uncached build.
-    }
-  }
   std::lock_guard<ArenaLock> lk(arena_);
-  return malloc_locked(size, cls);
-}
-
-VirtAddr TintHeap::malloc_locked(uint64_t size, int cls) {
   VirtAddr va;
   if (cls < 0) {
     va = alloc_large(size);
@@ -243,22 +56,8 @@ VirtAddr TintHeap::malloc_locked(uint64_t size, int cls) {
       va = fl.back();
       fl.pop_back();
     } else {
-      // Node-routed blocks (tcache flushes) before a fresh carve, local
-      // node first, so they never strand once the generic list is dry.
-      va = 0;
-      const unsigned nn = static_cast<unsigned>(node_free_.size());
-      const unsigned local = kernel_.task(task_).local_node();
-      for (unsigned i = 0; i < nn && va == 0; ++i) {
-        auto& nfl = node_free_[(local + i) % nn][static_cast<size_t>(cls)];
-        if (!nfl.empty()) {
-          va = nfl.back();
-          nfl.pop_back();
-        }
-      }
-      if (va == 0) {
-        va = carve(block);
-        if (va == 0) return fail_malloc(last_error());
-      }
+      va = carve(block);
+      if (va == 0) return fail_malloc(last_error());
     }
     if (cfg_.populate && !populate_range(va, block)) {
       // The VA block stays on its free list for a later retry; no frame
@@ -428,29 +227,6 @@ uint64_t TintHeap::usable_size(VirtAddr ptr) const {
 
 void TintHeap::free(VirtAddr ptr) {
   if (ptr == 0) return;
-  if (ThreadCache* tc = this_cache()) {
-    const auto cit = tc->cls_of.find(ptr);
-    if (cit != tc->cls_of.end()) {
-      const int cls = cit->second;
-      auto& bin = tc->bins[static_cast<size_t>(cls)];
-      if (std::find(bin.begin(), bin.end(), ptr) != bin.end()) {
-        // Same-thread double free of a cached block; the depth-bounded
-        // bin scan is all the detection the lock-free path can afford.
-        last_error_.store(os::AllocError::kInvalidArgument,
-                          std::memory_order_relaxed);
-        tc->invalid_frees.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (bin.size() >= cfg_.tcache_depth &&
-          !tcache_defer_bin(*tc, cls, cfg_.tcache_depth / 2))
-        tcache_flush_bin(*tc, cls, cfg_.tcache_depth / 2);
-      bin.push_back(ptr);
-      tc->frees.fetch_add(1, std::memory_order_relaxed);
-      tc->live_delta.fetch_sub(static_cast<int64_t>(kClasses[cls]),
-                               std::memory_order_relaxed);
-      return;
-    }
-  }
   std::lock_guard<ArenaLock> lk(arena_);
   const auto it = block_size_.find(ptr);
   if (it == block_size_.end()) {
@@ -488,46 +264,19 @@ void TintHeap::free(VirtAddr ptr) {
 }
 
 void TintHeap::release_all() {
-  // Like the destructor, this must not race with malloc/free on other
-  // threads: the thread-cache fast paths read cls_of without the arena.
   std::lock_guard<ArenaLock> lk(arena_);
-  for (auto& [tid, tc] : caches_) {
-    for (auto& bin : tc->bins) bin.clear();
-    if (tc->deferred) tc->deferred->drain_all();  // VAs die with the VMAs
-    tc->cls_of.clear();
-    tc->live_delta.store(0, std::memory_order_relaxed);
-  }
   for (const auto& [base, len] : vmas_) kernel_.munmap(task_, base, len);
   vmas_.clear();
   block_size_.clear();
   aligned_offset_.clear();
   for (auto& fl : free_lists_) fl.clear();
-  for (auto& per_node : node_free_)
-    for (auto& fl : per_node) fl.clear();
   chunk_cursor_ = chunk_end_ = 0;
   stats_.bytes_live = 0;
 }
 
 HeapStats TintHeap::stats() const {
   std::lock_guard<ArenaLock> lk(arena_);
-  HeapStats out = stats_;
-  int64_t live = static_cast<int64_t>(out.bytes_live);
-  for (const auto& [tid, tc] : caches_) {
-    out.mallocs += tc->mallocs.load(std::memory_order_relaxed);
-    out.frees += tc->frees.load(std::memory_order_relaxed);
-    out.bytes_requested += tc->bytes_requested.load(std::memory_order_relaxed);
-    out.invalid_frees += tc->invalid_frees.load(std::memory_order_relaxed);
-    out.tcache_hits += tc->hits.load(std::memory_order_relaxed);
-    out.tcache_flushes += tc->flushes.load(std::memory_order_relaxed);
-    out.tcache_node_flushes +=
-        tc->node_flushes.load(std::memory_order_relaxed);
-    out.tcache_local_refills +=
-        tc->local_refills.load(std::memory_order_relaxed);
-    out.tcache_deferred += tc->deferred_blocks.load(std::memory_order_relaxed);
-    live += tc->live_delta.load(std::memory_order_relaxed);
-  }
-  out.bytes_live = live > 0 ? static_cast<uint64_t>(live) : 0;
-  return out;
+  return stats_;
 }
 
 unsigned apply_thread_colors(os::Kernel& kernel, os::TaskId task,

@@ -17,31 +17,17 @@
 // Thread safety: the arena (free lists, block bookkeeping, chunk cursor,
 // VMA list) is guarded by one mutex at rank kHeapArena -- the lowest
 // rank in the system, because arena slow paths call into the kernel
-// (mmap/munmap/touch) which takes its own higher-ranked locks. With
-// HeapConfig::tcache_depth > 0, each thread additionally gets a
-// per-thread size-class cache in front of the arena, so the steady-state
-// malloc/free round-trip of one thread takes no lock at all (the
-// user-level analogue of the kernel's per-task page magazines).
-//
-// The tcache trades one diagnostic for speed: a block parked in a
-// thread's cache keeps its block_size_ entry, so a double free of such a
-// block is only caught by scanning the (depth-bounded) bin it sits in --
-// a cross-thread double free of a cached block goes undetected. With
-// tcache_depth = 0 (the default) detection is exactly as strict as
-// before.
+// (mmap/munmap/touch) which takes its own higher-ranked locks.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/color_planner.h"
 #include "os/kernel.h"
-#include "os/offload_ring.h"
 #include "util/lock_rank.h"
 
 namespace tint::core {
@@ -58,17 +44,6 @@ struct HeapConfig {
   // use this to exercise the kernel's degradation ladder through the
   // plain malloc API.
   bool populate = false;
-  // Per-class depth of the per-thread front-end cache (0 = no thread
-  // caches; the serial determinism goldens pin the uncached behaviour).
-  unsigned tcache_depth = 0;
-  // Depth of the per-thread *deferred flush* ring (0 = off). With it
-  // set, a tcache bin overflow parks the evicted block VAs on a
-  // lock-free SPSC ring instead of flushing them to the arena inline;
-  // the offload engine (runtime/offload.h) drains the rings in the
-  // background via drain_deferred_flushes(), so free() stays lock-free
-  // even at the flush watermark. Ring full -> the inline flush runs as
-  // before (graceful degradation, never a stall).
-  unsigned deferred_flush_depth = 0;
 };
 
 struct HeapStats {
@@ -80,22 +55,12 @@ struct HeapStats {
   uint64_t large_allocs = 0;
   uint64_t failed_mallocs = 0;   // allocations rejected with last_error()
   uint64_t invalid_frees = 0;    // free/realloc of an unknown pointer
-  uint64_t tcache_hits = 0;      // mallocs served lock-free by a thread cache
-  uint64_t tcache_flushes = 0;   // cached blocks flushed back to the arena
-  // Flushed blocks whose backing frame was resolved and routed to its
-  // node's free list (preserving the coloring locality the fault gave
-  // the block) instead of the node-blind generic list.
-  uint64_t tcache_node_flushes = 0;
-  // Refill blocks served from the task-local node list (locality hits).
-  uint64_t tcache_local_refills = 0;
-  // Overflow blocks parked on a deferred-flush ring (lock-free eviction)
-  // and blocks the background drain routed back to the arena. Deferred
-  // blocks are *not* double-counted in tcache_flushes until drained.
-  uint64_t tcache_deferred = 0;
-  uint64_t tcache_bg_flushes = 0;
 };
 
-class TintHeap {
+// Line-aligned: each heap is one task's, used by that task's thread, so
+// two threads' heaps must not share a cache line (their locks and
+// counters are written on every malloc/free).
+class alignas(64) TintHeap {
  public:
   TintHeap(os::Kernel& kernel, os::TaskId task, HeapConfig cfg = {});
 
@@ -124,19 +89,10 @@ class TintHeap {
   uint64_t usable_size(VirtAddr ptr) const;
 
   // Releases every mapping this heap created (frames return to their
-  // color lists / the buddy allocator) and empties every thread cache
-  // (including the deferred-flush rings).
+  // color lists / the buddy allocator).
   void release_all();
 
-  // Drains every thread's deferred-flush ring back to the arena free
-  // lists (node-routed, like an inline flush). The offload engine calls
-  // this once per service round; any thread may call it -- consumers
-  // serialize on the arena lock. Returns the number of blocks drained.
-  uint64_t drain_deferred_flushes();
-
   os::TaskId task() const { return task_; }
-  // Merged snapshot: the arena's counters plus every thread cache's
-  // (returned by value; per-thread counters are atomics merged here).
   HeapStats stats() const;
   // Reason the most recent call returned 0 / was rejected (kOk after a
   // success) -- the heap-level errno.
@@ -155,48 +111,7 @@ class TintHeap {
                                           256, 384, 512, 1024, 2048, 4096};
   static int class_of(uint64_t size);
 
-  // Per-thread front-end cache. The cls_of map is the key trick: a
-  // block VA's size class is stable forever (VAs come from a monotonic
-  // kernel-wide cursor and are never reused, and a block never changes
-  // class), so once a thread has seen a block it can free it again
-  // without consulting the arena. Counters are single-writer atomics
-  // read cross-thread by stats().
-  struct ThreadCache {
-    explicit ThreadCache(size_t nclasses) : bins(nclasses) {}
-    std::vector<std::vector<VirtAddr>> bins;  // per class, depth-bounded
-    std::unordered_map<VirtAddr, int> cls_of;
-    std::atomic<uint64_t> mallocs{0};
-    std::atomic<uint64_t> frees{0};
-    std::atomic<uint64_t> bytes_requested{0};
-    std::atomic<uint64_t> invalid_frees{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> flushes{0};
-    std::atomic<uint64_t> node_flushes{0};
-    std::atomic<uint64_t> local_refills{0};
-    std::atomic<uint64_t> deferred_blocks{0};
-    std::atomic<int64_t> live_delta{0};
-    // Deferred-flush ring (HeapConfig::deferred_flush_depth > 0 only).
-    // Producer: the owning thread's free() at the flush watermark.
-    // Consumer: drain_deferred_flushes() under the arena lock. Blocks
-    // parked here keep their block_size_ entry (the drain resolves the
-    // class from it) and their cls_of memo (owned by the thread).
-    std::unique_ptr<os::SpscRing> deferred;
-  };
-  // This thread's cache for this heap (created on first use); nullptr
-  // when tcache_depth == 0. Must not be called with the arena held.
-  ThreadCache* this_cache();
-  // Moves up to tcache_depth/2 blocks arena -> bin under one arena
-  // hold; false if arena and kernel are both dry.
-  bool tcache_refill(ThreadCache& tc, int cls);
-  // Flushes the bin down to `keep` blocks under one arena hold.
-  void tcache_flush_bin(ThreadCache& tc, int cls, size_t keep);
-  // Lock-free eviction: parks the bin's overflow (down to `keep`) on
-  // the deferred ring for the background drain. False when deferral is
-  // disabled; a full ring falls back to tcache_flush_bin internally.
-  bool tcache_defer_bin(ThreadCache& tc, int cls, size_t keep);
-
-  // Slow paths; callers hold arena_.
-  VirtAddr malloc_locked(uint64_t size, int cls);
+  // Callers hold arena_.
   VirtAddr alloc_large(uint64_t size);
   VirtAddr carve(uint64_t size);
   // Records a failed allocation and returns the 0 the caller hands out.
@@ -209,36 +124,24 @@ class TintHeap {
   os::Kernel& kernel_;
   os::TaskId task_;
   HeapConfig cfg_;
-  HeapStats stats_;  // arena-side counters; see stats() for the merge
-  // Heap-level errno; atomic so the lock-free paths can publish kOk.
+  HeapStats stats_;
+  // Heap-level errno; atomic so last_error() reads it without the lock.
   mutable std::atomic<os::AllocError> last_error_{os::AllocError::kOk};
 
   // Arena lock: rank kHeapArena (the lowest rank -- slow paths call the
   // kernel while holding it). Guards everything below.
   mutable util::RankedMutex<util::lock_rank::kHeapArena> arena_;
   std::vector<std::vector<VirtAddr>> free_lists_;  // per class
-  // Node-routed free lists [node][class]: tcache overflow flushes land
-  // here when the block's backing frame could be resolved, so a later
-  // refill hands node-local (and therefore correctly colored) blocks
-  // back out instead of scattering frames across the machine. Blocks
-  // freed through the slow path keep using free_lists_ (behaviour with
-  // tcache_depth == 0 is unchanged -- the determinism goldens pin it).
-  std::vector<std::vector<std::vector<VirtAddr>>> node_free_;
   VirtAddr chunk_cursor_ = 0;
   VirtAddr chunk_end_ = 0;
   std::vector<std::pair<VirtAddr, uint64_t>> vmas_;  // {base, length}
   // Size bookkeeping for free(); real malloc uses headers, the simulator
-  // has no data memory to put them in. Blocks parked in a thread cache
-  // keep their entry; blocks on free_lists_ have none.
+  // has no data memory to put them in. Blocks on free_lists_ have no
+  // entry, so a double free is always caught.
   std::unordered_map<VirtAddr, uint64_t> block_size_;
   // aligned_alloc pointers -> offset from their block base (only when
   // the offset is non-zero; a zero offset needs no recovery).
   std::unordered_map<VirtAddr, uint64_t> aligned_offset_;
-  // Thread-cache registry; ThreadCache objects live until the heap dies
-  // (release_all empties them but keeps them, so the thread-local memo
-  // in this_cache() never dangles).
-  std::unordered_map<std::thread::id, std::unique_ptr<ThreadCache>> caches_;
-  const uint64_t heap_gen_;  // unique per instance, validates the memo
 };
 
 // Issues the paper's one-line opt-in for one thread: one color-control

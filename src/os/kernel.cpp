@@ -18,8 +18,7 @@ unsigned boot_color_shards(const hw::Topology& topo, unsigned bank_colors,
                            unsigned llc_colors) {
   // Enough shards that the (bank, LLC) combos in flight across all cores
   // rarely collide on one lock, clamped so the stop-the-world freeze
-  // (every shard lock, in order) stays bounded -- bench/concurrent_alloc
-  // reports the freeze cost vs. this count.
+  // (every shard lock, in order) stays bounded.
   const uint64_t in_flight = std::min<uint64_t>(
       static_cast<uint64_t>(bank_colors) * llc_colors,
       topo.num_cores() * 16ULL);
@@ -36,15 +35,12 @@ Kernel::Kernel(const hw::Topology& topo, const hw::AddressMapping& mapping,
       fail_(mix64(seed ^ 0xfa11fa11ULL)) {
   // Boot runs strictly single-threaded; no locks are taken here.
   buddy_ = std::make_unique<BuddyAllocator>(topo, pages_);
-  // Shard count for the color matrix: pinned by the knob, else derived
-  // from topology (boot_color_shards).
-  unsigned shards = cfg_.color_shards;
-  if (shards == 0)
-    shards = boot_color_shards(topo, mapping.num_bank_colors(),
-                               mapping.num_llc_colors());
-  colors_ = std::make_unique<ColorLists>(mapping.num_bank_colors(),
-                                         mapping.num_llc_colors(),
-                                         topo.total_pages(), shards);
+  // Shards only set locking granularity, never list contents or pop
+  // order, so the derived count is determinism-safe.
+  colors_ = std::make_unique<ColorLists>(
+      mapping.num_bank_colors(), mapping.num_llc_colors(), topo.total_pages(),
+      boot_color_shards(topo, mapping.num_bank_colors(),
+                        mapping.num_llc_colors()));
   node_online_ = std::make_unique<std::atomic<uint8_t>[]>(topo.num_nodes());
   for (unsigned n = 0; n < topo.num_nodes(); ++n)
     node_online_[n].store(1, std::memory_order_relaxed);

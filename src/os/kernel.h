@@ -80,9 +80,8 @@ inline constexpr VirtAddr kMmapFailed = ~0ULL;  // MAP_FAILED
 // node of its bank colors.
 inline constexpr uint32_t MAP_HUGE_2MB = 1u << 26;
 
-// Boot-time color-list shard count (KernelConfig::color_shards == 0):
-// the number of (bank, LLC) combos, clamped to cores x 16 and rounded up
-// to a power of two in [16, 512].
+// Boot-time color-list shard count: the number of (bank, LLC) combos,
+// clamped to cores x 16 and rounded up to a power of two in [16, 512].
 unsigned boot_color_shards(const hw::Topology& topo, unsigned bank_colors,
                            unsigned llc_colors);
 
@@ -119,12 +118,6 @@ struct KernelConfig {
   // Frames cached per (MEM_ID, LLC_ID) combo in each task's page
   // magazine (see os/page_magazine.h). 0 disables magazines entirely.
   unsigned magazine_capacity = 0;
-  // Color-list shard count. 0 derives it from topology at boot: the
-  // number of (bank, LLC) combos clamped to a power of two in [16, 512]
-  // (boot_color_shards). Explicit values are rounded up to a power of two.
-  // Shards only affect locking granularity -- never list contents or pop
-  // order -- so this knob is determinism-safe.
-  unsigned color_shards = 0;
   // Buddy blocks colorized per refill round. 1 keeps the legacy
   // one-block-per-shard-lock path; larger values batch several blocks
   // through ColorLists::refill_batch under one shard acquisition per

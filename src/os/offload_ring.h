@@ -47,8 +47,7 @@
 namespace tint::os {
 
 // Fixed-capacity single-producer/single-consumer ring of 64-bit values
-// (Pfns on the kernel side; the heap reuses it for deferred tcache
-// flush VAs). Cache-line-padded slots and indices, acquire/release
+// (Pfns). Cache-line-padded slots and indices, acquire/release
 // publication, no locks on either side. Capacity is rounded up to a
 // power of two; one slot is sacrificed to distinguish full from empty.
 class SpscRing {

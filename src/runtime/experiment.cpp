@@ -81,7 +81,6 @@ AggregateResult ExperimentDriver::run(const WorkloadSpec& spec,
     agg.magazine_hits += r.magazine_hits;
     agg.magazine_misses += r.magazine_misses;
     agg.batch_refills += r.batch_refills;
-    agg.tcache_hits += r.tcache_hits;
     agg.ring_alloc_hits += r.ring_alloc_hits;
     agg.ring_full_stalls += r.ring_full_stalls;
     agg.prefault_pages += r.prefault_pages;

@@ -59,7 +59,6 @@ struct AggregateResult {
   uint64_t magazine_hits = 0;
   uint64_t magazine_misses = 0;
   uint64_t batch_refills = 0;
-  uint64_t tcache_hits = 0;
   // Offload-engine counters, summed over reps (zero with offload off).
   uint64_t ring_alloc_hits = 0;
   uint64_t ring_full_stalls = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/tintmalloc.h"
 #include "util/assert.h"
 
 namespace tint::runtime {
@@ -97,18 +96,6 @@ void OffloadEngine::unwatch(os::TaskId id) {
     }
   }
   if (found) kernel_.offload_drain_task(id);
-}
-
-void OffloadEngine::attach_heap(core::TintHeap* heap) {
-  if (heap == nullptr) return;
-  std::lock_guard ctl(ctl_mu_);
-  if (std::find(heaps_.begin(), heaps_.end(), heap) == heaps_.end())
-    heaps_.push_back(heap);
-}
-
-void OffloadEngine::detach_heap(core::TintHeap* heap) {
-  std::lock_guard ctl(ctl_mu_);
-  heaps_.erase(std::remove(heaps_.begin(), heaps_.end(), heap), heaps_.end());
 }
 
 size_t OffloadEngine::watched() const {
@@ -263,19 +250,6 @@ bool OffloadEngine::service_worker(size_t w) {
   return did_work;
 }
 
-bool OffloadEngine::drain_heaps() {
-  bool did_work = false;
-  std::lock_guard ctl(ctl_mu_);
-  for (core::TintHeap* heap : heaps_) {
-    const uint64_t flushed = heap->drain_deferred_flushes();
-    if (flushed > 0) {
-      did_work = true;
-      stats_.heap_flushes.fetch_add(flushed, std::memory_order_relaxed);
-    }
-  }
-  return did_work;
-}
-
 bool OffloadEngine::run_round() {
   // Manual drive: every worker's slice on the calling thread, worker
   // (== node, in auto mode) order, so serial callers stay
@@ -286,7 +260,6 @@ bool OffloadEngine::run_round() {
     rebalance_worker(w);
     if (service_worker(w)) did_work = true;
   }
-  if (drain_heaps()) did_work = true;
   if (did_work) {
     manual_idle_streak_ = 0;
   } else if (cfg_.scrub_idle_rounds > 0 &&
@@ -303,11 +276,9 @@ void OffloadEngine::worker_loop(size_t w) {
   Worker& wk = *workers_[w];
   while (running_.load(std::memory_order_acquire)) {
     rebalance_worker(w);
-    bool busy = service_worker(w);
-    // The first worker doubles as the control-plane core: heap flushes
-    // and idle scrubs ride it so the others stay pure allocators.
-    if (w == 0 && drain_heaps()) busy = true;
-    if (busy) {
+    // The first worker doubles as the control-plane core: idle scrubs
+    // ride it so the others stay pure allocators.
+    if (service_worker(w)) {
       wk.idle_streak = 0;
       continue;  // demand present: service again immediately
     }

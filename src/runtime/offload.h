@@ -37,10 +37,7 @@
 //     one Kernel::scrub() pass -- RAS sweeps ride the allocator cores
 //     for free when there is no allocation work;
 //   * tasks that exit are detected via the service report and dropped
-//     from the watch list after a final drain;
-//   * attached TintHeaps get their deferred tcache-overflow rings
-//     drained once per round (HeapConfig::deferred_flush_depth), so
-//     foreground free() never pays for a bin flush either.
+//     from the watch list after a final drain.
 //
 // Default-off twice over: the kernel only builds rings when
 // `KernelConfig::offload.enabled` is set, and the engine only touches
@@ -61,10 +58,6 @@
 #include <vector>
 
 #include "os/kernel.h"
-
-namespace tint::core {
-class TintHeap;
-}
 
 namespace tint::runtime {
 
@@ -89,7 +82,6 @@ struct OffloadEngineStats {
   std::atomic<uint64_t> frames_recycled{0};  // request -> completion direct
   std::atomic<uint64_t> frames_restocked{0}; // ladder allocs pushed ahead
   std::atomic<uint64_t> dead_task_drops{0};  // watches removed post-exit
-  std::atomic<uint64_t> heap_flushes{0};     // deferred tcache bins drained
   std::atomic<uint64_t> tasks_parked{0};     // watches parked: node offline
   std::atomic<uint64_t> parked_adopts{0};    // parked watches adopted back
   std::atomic<uint64_t> scrub_passes{0};     // idle-round scrubs run
@@ -101,7 +93,6 @@ struct OffloadEngineStats {
     uint64_t frames_recycled = 0;
     uint64_t frames_restocked = 0;
     uint64_t dead_task_drops = 0;
-    uint64_t heap_flushes = 0;
     uint64_t tasks_parked = 0;
     uint64_t parked_adopts = 0;
     uint64_t scrub_passes = 0;
@@ -112,8 +103,8 @@ struct OffloadEngineStats {
     };
     return {ld(rounds_run),       ld(busy_rounds),   ld(frees_absorbed),
             ld(frames_recycled),  ld(frames_restocked),
-            ld(dead_task_drops),  ld(heap_flushes),  ld(tasks_parked),
-            ld(parked_adopts),    ld(scrub_passes)};
+            ld(dead_task_drops),  ld(tasks_parked),  ld(parked_adopts),
+            ld(scrub_passes)};
   }
 };
 
@@ -140,19 +131,12 @@ class OffloadEngine {
   // hitting the ring.
   void unwatch(os::TaskId id);
 
-  // Registers a heap whose deferred tcache-overflow rings the engine
-  // drains once per round. The heap must outlive the engine (or be
-  // detached first). Pass nullptr to detach_heap for symmetry.
-  void attach_heap(core::TintHeap* heap);
-  void detach_heap(core::TintHeap* heap);
-
   // One engine round on the calling thread: rebalance (park watches of
   // offline nodes, adopt parked tasks of returned nodes), then every
   // worker's watches in worker order (measure drain rate -> compute
-  // restock target -> offload_service), then the
-  // attached heaps. Returns true when any frame moved (the background
-  // loop's keep-going signal). Deterministic given quiescent rings;
-  // safe from any thread, serialized internally.
+  // restock target -> offload_service). Returns true when any frame
+  // moved (the background loop's keep-going signal). Deterministic
+  // given quiescent rings; safe from any thread, serialized internally.
   bool run_round();
 
   // Background mode: one thread per worker running its slice of
@@ -206,7 +190,6 @@ class OffloadEngine {
   void rebalance_worker(size_t w);
   // Service every watch of one worker; returns true when frames moved.
   bool service_worker(size_t w);
-  bool drain_heaps();
   // One background-loop iteration for worker `w`.
   void worker_loop(size_t w);
 
@@ -216,11 +199,10 @@ class OffloadEngine {
 
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Control plane: parked watches + attached heaps + manual-round
-  // serialization. Plain mutexes outside the rank order (see Worker).
+  // Control plane: parked watches + manual-round serialization. Plain
+  // mutexes outside the rank order (see Worker).
   mutable std::mutex ctl_mu_;
   std::vector<Watch> parked_;  // home node offline; adopted on return
-  std::vector<core::TintHeap*> heaps_;
   mutable std::mutex round_mu_;   // serializes manual run_round()s
   unsigned manual_idle_streak_ = 0;  // run_round() scrub trigger (round_mu_)
 

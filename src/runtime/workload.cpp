@@ -471,12 +471,6 @@ RunResult WorkloadRunner::run(const WorkloadSpec& spec, core::Policy policy,
   res.prefault_pages = ks.prefault_pages;
   res.batches_drained = ks.batches_drained;
   res.recolor_calls = ks.recolor_calls;
-  for (const os::TaskId t : tasks) {
-    const core::HeapStats hs = session.heap(t).stats();
-    res.tcache_hits += hs.tcache_hits;
-    res.tcache_flushes += hs.tcache_flushes;
-    res.tcache_node_flushes += hs.tcache_node_flushes;
-  }
   return res;
 }
 

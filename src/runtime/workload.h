@@ -210,14 +210,11 @@ struct RunResult {
   uint64_t pages_migrated = 0;
   uint64_t colors_retired = 0;
   // Fast-path cache behaviour (all zero unless the kernel's page
-  // magazines / batched refill or the heap's thread caches were on).
+  // magazines / batched refill were on).
   uint64_t magazine_hits = 0;
   uint64_t magazine_misses = 0;
   uint64_t magazine_drains = 0;
   uint64_t batch_refills = 0;
-  uint64_t tcache_hits = 0;
-  uint64_t tcache_flushes = 0;
-  uint64_t tcache_node_flushes = 0;  // flushes routed to the frame's node
   // Allocation offload engine behaviour (all zero unless offload.enabled
   // and an OffloadEngine serviced the run's tasks).
   uint64_t ring_alloc_hits = 0;   // colored allocs served by a ring pop

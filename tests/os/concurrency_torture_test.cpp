@@ -157,7 +157,8 @@ TEST_F(ConcurrencyTortureTest, HugeFaultRaceReturnsLosersBlock) {
       const auto tr = k.touch(
           tasks[ti], base + b * Kernel::kHugeBytes + ti * 64, false);
       ASSERT_EQ(tr.error, AllocError::kOk);
-      ASSERT_NE(tr.pa, 0u);
+      // The block may be frame 0, so only the offset is known.
+      ASSERT_EQ(tr.pa % Kernel::kHugeBytes, ti * 64u);
     }
   });
 

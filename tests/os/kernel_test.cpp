@@ -375,10 +375,19 @@ TEST_F(KernelTest, BootShardsFollowTopologyAndCombos) {
 }
 
 TEST_F(KernelTest, BootShardsDerivedFromTopologyWhenUnset) {
-  Kernel k = make_kernel();  // color_shards = 0: derived at boot
+  Kernel k = make_kernel();
   EXPECT_EQ(k.color_lists().num_shards(),
             boot_color_shards(topo_, map_.num_bank_colors(),
                               map_.num_llc_colors()));
+
+  // The Opteron at 256 MB/node: 128 banks x 32 LLC colors, clamped to
+  // 16 cores x 16.
+  hw::Topology opteron = hw::Topology::opteron6128();
+  opteron.dram_bytes_per_node = 256ULL << 20;
+  opteron.validate();
+  const hw::PciConfig pci = hw::PciConfig::program_bios(opteron);
+  const hw::AddressMapping map(pci, opteron);
+  EXPECT_EQ(Kernel(opteron, map, {}, 42).color_lists().num_shards(), 256u);
 }
 
 }  // namespace

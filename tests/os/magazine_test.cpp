@@ -17,7 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hw/pci_config.h"
+#include "util/rng.h"
 
 namespace tint::os {
 namespace {
@@ -288,6 +292,126 @@ TEST_F(MagazineTest, ZeroCapacityIsInert) {
   EXPECT_EQ(s.magazine_drains, 0u);
   EXPECT_EQ(s.batch_refills, 0u);
 }
+
+// --- the colored churn cells ---
+// N tasks churn colored pages on the Opteron at 256 MB/node. Each task
+// holds two bank colors and one LLC color, disjoint across tasks. The
+// tasks take turns, one step each, on the test thread, so every
+// counter below is deterministic whatever the machine load.
+enum class Churn {
+  kVma,   // mmap 64 pages, fault each, munmap
+  kRaw,   // one seeded alloc_pages or free_pages; at most 96 held
+  kPage,  // alloc_pages 64 pages, then free them all
+};
+struct ChurnCell {
+  const char* name;
+  Churn churn;
+  unsigned magazine;  // magazine_capacity; refill batches 8 when set
+  unsigned tasks;
+};
+void PrintTo(const ChurnCell& cell, std::ostream* os) { *os << cell.name; }
+
+class ColoredChurnCellTest : public ::testing::TestWithParam<ChurnCell> {};
+
+TEST_P(ColoredChurnCellTest, HitFractionsStayAboveFloor) {
+  const ChurnCell& cell = GetParam();
+  hw::Topology topo = hw::Topology::opteron6128();
+  topo.dram_bytes_per_node = 256ULL << 20;
+  topo.validate();
+  const hw::PciConfig pci = hw::PciConfig::program_bios(topo);
+  const hw::AddressMapping map(pci, topo);
+  KernelConfig cfg;
+  cfg.magazine_capacity = cell.magazine;
+  cfg.refill_batch_blocks = cell.magazine ? 8 : 1;
+  Kernel k(topo, map, cfg, 42);
+
+  const unsigned nb = map.num_bank_colors();
+  struct Churner {
+    TaskId task;
+    Rng rng;
+    std::vector<Pfn> held;
+  };
+  std::vector<Churner> cs;
+  for (unsigned t = 0; t < cell.tasks; ++t) {
+    const TaskId id = k.create_task(t % topo.num_cores());
+    for (const unsigned b : {(2 * t) % nb, (2 * t + 1) % nb})
+      k.mmap(id, b | SET_MEM_COLOR, 0, PROT_COLOR_ALLOC);
+    k.mmap(id, (t % map.num_llc_colors()) | SET_LLC_COLOR, 0,
+           PROT_COLOR_ALLOC);
+    cs.push_back({id, Rng(1234 + t), {}});
+  }
+
+  const uint64_t page = topo.page_bytes();
+  const unsigned steps = cell.churn == Churn::kRaw    ? 20000
+                         : cell.churn == Churn::kPage ? 1000
+                                                      : 200;
+  for (unsigned step = 0; step < steps; ++step) {
+    for (Churner& c : cs) {
+      switch (cell.churn) {
+        case Churn::kVma: {
+          const VirtAddr base = k.mmap(c.task, 0, 64 * page, 0);
+          ASSERT_NE(base, kMmapFailed);
+          for (uint64_t p = 0; p < 64; ++p)
+            ASSERT_EQ(k.touch(c.task, base + p * page, true).error,
+                      AllocError::kOk);
+          ASSERT_TRUE(k.munmap(c.task, base, 64 * page));
+          break;
+        }
+        case Churn::kRaw:
+          if (c.held.size() < 96 &&
+              (c.held.empty() || c.rng.next_bool(0.55))) {
+            const auto out = k.alloc_pages(c.task, 0);
+            if (out.pfn != kNoPage) c.held.push_back(out.pfn);
+          } else {
+            k.free_pages(c.held.back(), 0);
+            c.held.pop_back();
+          }
+          break;
+        case Churn::kPage:
+          while (c.held.size() < 64) {
+            const auto out = k.alloc_pages(c.task, 0);
+            if (out.pfn == kNoPage) break;
+            c.held.push_back(out.pfn);
+          }
+          for (; !c.held.empty(); c.held.pop_back())
+            k.free_pages(c.held.back(), 0);
+          break;
+      }
+    }
+  }
+  for (Churner& c : cs)
+    for (const Pfn p : c.held) k.free_pages(p, 0);
+
+  // Floors at 75% of the fractions the cells reached when they were
+  // wall-clock benchmarks: colored 1.0, magazine hits 0.96-0.9995. This
+  // replay reaches colored 1.0 and magazine hits 0.80-0.997.
+  const auto s = k.stats().snapshot();
+  if (cell.churn != Churn::kPage) {
+    const uint64_t served = s.ladder_colored + s.ladder_widened +
+                            s.ladder_default + s.scavenged_pages;
+    ASSERT_GT(served, 0u);
+    EXPECT_GE(static_cast<double>(s.ladder_colored) / served, 0.75);
+  }
+  if (cell.magazine) {
+    const uint64_t lookups = s.magazine_hits + s.magazine_misses;
+    ASSERT_GT(lookups, 0u);
+    EXPECT_GE(static_cast<double>(s.magazine_hits) / lookups, 0.75);
+  }
+  const auto rep = k.check_invariants();
+  EXPECT_TRUE(rep.ok) << rep.detail;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, ColoredChurnCellTest,
+    ::testing::Values(ChurnCell{"VmaChurn_1", Churn::kVma, 0, 1},
+                      ChurnCell{"VmaChurn_8", Churn::kVma, 0, 8},
+                      ChurnCell{"RawAllocFree_1", Churn::kRaw, 0, 1},
+                      ChurnCell{"RawAllocFree_8", Churn::kRaw, 0, 8},
+                      ChurnCell{"RawAllocFreeMagazine_1", Churn::kRaw, 64, 1},
+                      ChurnCell{"RawAllocFreeMagazine_8", Churn::kRaw, 64, 8},
+                      ChurnCell{"PageChurnMagazine_1", Churn::kPage, 64, 1},
+                      ChurnCell{"PageChurnMagazine_8", Churn::kPage, 64, 8}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace tint::os

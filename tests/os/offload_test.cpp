@@ -11,7 +11,9 @@
 // and the ring paths route on those stamps.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "hw/pci_config.h"
 #include "os/kernel.h"
@@ -650,6 +652,84 @@ TEST_F(OffloadTest, EngineBackgroundStartStop) {
   ASSERT_TRUE(inv.ok) << inv.detail;
   // Destructor drains the remaining watch.
 }
+
+// --- the page-churn cells ---
+// N tasks alloc 64 colored pages and free them again, in turns, on the
+// Opteron at 256 MB/node: no magazine, so every colored alloc probes
+// the task's ring first. One engine round runs after each pass over
+// the tasks, on the test thread, so the ring hit fraction is exact.
+struct RingCell {
+  unsigned tasks;
+  unsigned workers;
+  double floor;  // 75% of the fraction the wall-clock cell reached
+};
+std::string cell_name(const RingCell& cell) {
+  return std::to_string(cell.tasks) + "tasks_" + std::to_string(cell.workers) +
+         "workers";
+}
+void PrintTo(const RingCell& cell, std::ostream* os) { *os << cell_name(cell); }
+
+class RingChurnCellTest : public ::testing::TestWithParam<RingCell> {};
+
+TEST_P(RingChurnCellTest, RingServesMostColoredAllocs) {
+  const RingCell& cell = GetParam();
+  hw::Topology topo = hw::Topology::opteron6128();
+  topo.dram_bytes_per_node = 256ULL << 20;
+  topo.validate();
+  const hw::PciConfig pci = hw::PciConfig::program_bios(topo);
+  const hw::AddressMapping map(pci, topo);
+  KernelConfig cfg;
+  cfg.refill_batch_blocks = 8;
+  cfg.offload.enabled = true;
+  cfg.offload.ring_depth = 256;
+  cfg.offload.min_stock = 64;
+  cfg.offload.drain_batch = 128;
+  cfg.offload.workers = cell.workers;
+  Kernel k(topo, map, cfg, 42);
+  runtime::OffloadEngine engine(k);
+
+  const unsigned nb = map.num_bank_colors();
+  std::vector<TaskId> tasks;
+  for (unsigned t = 0; t < cell.tasks; ++t) {
+    const TaskId id = k.create_task(t % topo.num_cores());
+    for (const unsigned b : {(2 * t) % nb, (2 * t + 1) % nb})
+      k.mmap(id, b | SET_MEM_COLOR, 0, PROT_COLOR_ALLOC);
+    k.mmap(id, (t % map.num_llc_colors()) | SET_LLC_COLOR, 0,
+           PROT_COLOR_ALLOC);
+    ASSERT_TRUE(engine.watch(id));
+    tasks.push_back(id);
+  }
+
+  std::vector<Pfn> held;
+  for (unsigned pass = 0; pass < 200; ++pass) {
+    engine.run_round();
+    for (const TaskId t : tasks) {
+      while (held.size() < 64) {
+        const auto out = k.alloc_pages(t, 0);
+        if (out.pfn == kNoPage) break;
+        held.push_back(out.pfn);
+      }
+      for (; !held.empty(); held.pop_back()) k.free_pages(held.back(), 0);
+    }
+  }
+
+  const auto s = k.stats().snapshot();
+  const uint64_t probes = s.ring_alloc_hits + s.ring_empty_stalls;
+  ASSERT_GT(probes, 0u);
+  EXPECT_GE(static_cast<double>(s.ring_alloc_hits) / probes, cell.floor);
+  const auto inv = k.check_invariants();
+  EXPECT_TRUE(inv.ok) << inv.detail;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, RingChurnCellTest,
+    ::testing::Values(RingCell{1, 1, 0.75 * 0.9736},
+                      RingCell{8, 1, 0.75 * 0.2001},
+                      RingCell{1, 2, 0.75 * 0.9999},
+                      RingCell{8, 2, 0.75 * 0.7662},
+                      RingCell{1, 4, 0.75 * 0.9968},
+                      RingCell{8, 4, 0.75 * 0.8938}),
+    [](const auto& info) { return cell_name(info.param); });
 
 }  // namespace
 }  // namespace tint::os

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -24,8 +25,8 @@ namespace {
 
 class ColorGuardTest : public ::testing::Test {
  protected:
-  ColorGuardTest()
-      : topo_(hw::Topology::tiny()),
+  explicit ColorGuardTest(hw::Topology topo = hw::Topology::tiny())
+      : topo_(topo),
         pci_(hw::PciConfig::program_bios(topo_)),
         map_(pci_, topo_),
         memsys_(topo_, map_) {}
@@ -160,39 +161,57 @@ TEST_F(ColorGuardTest, DisabledGuardObservesButNeverMutates) {
 
 // --- manual heal path ---
 
-TEST_F(ColorGuardTest, ManualHealMigratesPagesThenCoolsDown) {
+// The heal of an N-page tenant on the Opteron at 256 MB/node (one bank
+// color holds 2,048 pages there). With a migration budget of at least
+// N the whole heal takes one epoch, at every size.
+class ColorGuardHealTest : public ColorGuardTest,
+                           public ::testing::WithParamInterface<unsigned> {
+ protected:
+  ColorGuardHealTest() : ColorGuardTest(opteron_256mb()) {}
+
+  static hw::Topology opteron_256mb() {
+    hw::Topology t = hw::Topology::opteron6128();
+    t.dram_bytes_per_node = 256ULL << 20;
+    t.validate();
+    return t;
+  }
+};
+
+TEST_P(ColorGuardHealTest, ManualHealMigratesPagesThenCoolsDown) {
+  const unsigned pages = GetParam();
   os::Kernel k = make_kernel();
   GuardConfig cfg;
   cfg.enabled = true;
   cfg.min_epoch_accesses = ~0ull;  // detector can never fire on its own
   cfg.cooldown_epochs = 2;
+  cfg.migration_budget = std::max(cfg.migration_budget, pages);
   ColorGuard guard(k, memsys_, cfg);
 
   const os::TaskId t = k.create_task(0);
   const unsigned c0 = map_.make_bank_color(0, 0);
   claim(k, t, c0);
-  touch_pages(k, t, 4);
+  touch_pages(k, t, pages);
 
   ASSERT_TRUE(guard.start_heal(t, c0));
   // The swap is immediate and atomic; the pages move in epochs.
   EXPECT_FALSE(k.task(t).has_mem_color(c0));
   EXPECT_EQ(guard.stats().snapshot().heals_started, 1u);
   EXPECT_EQ(guard.tenant_phase(t), ColorGuard::TenantPhase::kMigrating);
-  EXPECT_EQ(k.pages_of_task_color(t, c0).size(), 4u);
+  EXPECT_EQ(k.pages_of_task_color(t, c0).size(), pages);
 
   // A tenant mid-heal cannot start another.
   EXPECT_FALSE(guard.start_heal(t, c0));
 
-  guard.run_epoch();  // epoch 0: migrates all 4 within the budget
+  guard.run_epoch();  // epoch 0: migrates every page within the budget
   auto gs = guard.stats().snapshot();
-  EXPECT_EQ(gs.pages_recolored, 4u);
+  EXPECT_EQ(gs.pages_recolored, pages);
   EXPECT_EQ(gs.heals_completed, 1u);
   EXPECT_EQ(gs.migrations_failed, 0u);
   EXPECT_TRUE(k.pages_of_task_color(t, c0).empty());
   const auto colors = k.task(t).mem_color_list();
   ASSERT_EQ(colors.size(), 1u);
   EXPECT_NE(colors[0], c0);
-  EXPECT_EQ(k.pages_of_task_color(t, colors[0]).size(), 4u);
+  EXPECT_EQ(k.pages_of_task_color(t, colors[0]).size(), pages);
 
   // Cooldown: untouchable for cooldown_epochs after completion.
   EXPECT_EQ(guard.tenant_phase(t), ColorGuard::TenantPhase::kCooldown);
@@ -206,6 +225,9 @@ TEST_F(ColorGuardTest, ManualHealMigratesPagesThenCoolsDown) {
   const auto rep = k.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.detail;
 }
+
+INSTANTIATE_TEST_SUITE_P(Pages, ColorGuardHealTest,
+                         ::testing::Values(4u, 64u, 256u, 1024u));
 
 TEST_F(ColorGuardTest, MigrationBudgetDribblesTheHealAcrossEpochs) {
   os::Kernel k = make_kernel();
