@@ -238,51 +238,6 @@ TaskAdvice ColorAdvisor::plan_recolor(const os::Kernel& kernel,
   return advice;
 }
 
-TaskAdvice ColorAdvisor::plan_shrink(const os::Kernel& kernel, os::TaskId task,
-                                     unsigned drop_count, unsigned floor,
-                                     const std::vector<double>& heat) const {
-  TaskAdvice advice;
-  advice.task = task;
-  const os::Task& t = kernel.task(task);
-  const std::vector<uint16_t> held = t.mem_color_list();
-  if (floor == 0) floor = 1;  // a colored tenant never shrinks to nothing
-  if (held.size() <= floor) {
-    advice.reason = "task already at its color floor";
-    return advice;
-  }
-  const unsigned drop = std::min<unsigned>(
-      drop_count, static_cast<unsigned>(held.size()) - floor);
-  if (drop == 0) {
-    advice.reason = "nothing to drop";
-    return advice;
-  }
-
-  // Coldest colors go first; among equally cold colors the one with the
-  // fewest resident pages costs the least migration work.
-  struct Scored {
-    uint16_t color;
-    double heat;
-    size_t resident;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(held.size());
-  for (const uint16_t c : held)
-    scored.push_back({c, c < heat.size() ? heat[c] : 0.0,
-                      kernel.pages_of_task_color(task, c).size()});
-  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    if (a.heat != b.heat) return a.heat < b.heat;
-    if (a.resident != b.resident) return a.resident < b.resident;
-    return a.color < b.color;
-  });
-  advice.kind = TaskAdvice::Kind::kShrink;
-  for (unsigned i = 0; i < drop; ++i)
-    advice.removals.mem_colors.push_back(scored[i].color);
-  advice.reason = "releasing " + std::to_string(drop) +
-                  " coldest bank color(s); " +
-                  std::to_string(held.size() - drop) + " survive";
-  return advice;
-}
-
 unsigned ColorAdvisor::apply(os::Kernel& kernel,
                              const TaskAdvice& advice) const {
   if (advice.kind == TaskAdvice::Kind::kOk) return 0;

@@ -35,7 +35,6 @@ struct TaskAdvice {
     kShareLlc,        // add LLC colors already used by same-node tasks
     kReplaceRetired,  // drop RAS-retired bank colors, add healthy ones
     kRecolorHot,      // swap a contention-hot color for a quiet one
-    kShrink,          // release the coldest colors (elastic shrink)
   };
 
   os::TaskId task = os::kNoTask;
@@ -96,19 +95,6 @@ class ColorAdvisor {
                           unsigned hot_color,
                           const std::vector<uint8_t>& avoid,
                           ColorDim dim = ColorDim::kBank) const;
-
-  // Elastic shrink advice: pick up to `drop_count` of `task`'s bank
-  // colors to release, coldest first -- `heat` holds one contention
-  // weight per bank color (the guard passes its EWMAs); ties break on
-  // fewest resident pages (the smallest migration bill), then the lower
-  // color id. Never plans below `floor` surviving colors. Returns
-  // kShrink advice with removals only (the survivors absorb the
-  // migrated pages), or kOk when the task is already at or under the
-  // floor. Like plan_recolor this is applied via Kernel::recolor_task,
-  // not the mmap protocol.
-  TaskAdvice plan_shrink(const os::Kernel& kernel, os::TaskId task,
-                         unsigned drop_count, unsigned floor,
-                         const std::vector<double>& heat) const;
 
  private:
   const hw::AddressMapping& mapping_;

@@ -1148,7 +1148,7 @@ void Kernel::free_pages(Pfn pfn, unsigned order) {
 }
 
 // --- allocation offload: per-task SPSC rings + engine service rounds
-// (DESIGN.md section 16) ---
+// (DESIGN.md section 15) ---
 
 Pfn Kernel::try_ring_pop(Task& t, const Task::ColorSet& cs,
                          int64_t transient_offline) {

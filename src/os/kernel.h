@@ -146,7 +146,7 @@ struct KernelConfig {
     Cycles migrate_copy_cycles = 2000;
   };
   RasConfig ras;
-  // --- allocation offload engine (DESIGN.md section 16) ---
+  // --- allocation offload engine (DESIGN.md section 15) ---
   struct OffloadConfig {
     // Master switch. Off (default): no rings exist, the fast paths cost
     // one predicted-false branch, and determinism goldens stay
@@ -227,7 +227,7 @@ struct KernelStats {
   std::atomic<uint64_t> batch_refills{0};    // multi-block refill rounds
   // --- live re-coloring (Kernel::recolor_task; used by the ColorGuard) ---
   std::atomic<uint64_t> recolor_calls{0};    // atomic color-set swaps applied
-  // --- allocation offload counters (DESIGN.md section 16) ---
+  // --- allocation offload counters (DESIGN.md section 15) ---
   std::atomic<uint64_t> ring_alloc_hits{0};    // colored allocs a ring served
   std::atomic<uint64_t> ring_empty_stalls{0};  // ring probed empty / guard busy
   std::atomic<uint64_t> ring_full_stalls{0};   // frees that found the ring full
@@ -513,7 +513,7 @@ class Kernel {
   };
   ScrubReport scrub();
 
-  // --- allocation offload (per-task SPSC rings; DESIGN.md section 16) ---
+  // --- allocation offload (per-task SPSC rings; DESIGN.md section 15) ---
   // Attaches request/completion rings to a task so its order-0 colored
   // faults pop from the completion ring and its frees push to the
   // request ring (both app sides lock-free + try-guard, falling back to

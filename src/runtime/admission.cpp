@@ -16,8 +16,18 @@ constexpr const char* kReasonBanksDry = "bank colors exhausted";
 constexpr const char* kReasonLlcsDry = "llc colors exhausted";
 constexpr const char* kReasonNoNode = "no node online";
 constexpr const char* kReasonGrantFailed = "color grant rejected by kernel";
-constexpr const char* kReasonWaitlisted = "waitlisted";
-constexpr const char* kReasonPromoted = "promoted to full burstable grant";
+
+// EWMA smoothing for the per-node controller access deltas behind the
+// bandwidth-headroom placement score.
+constexpr double kEwmaAlpha = 0.3;
+// Per-class latency reservoir size (algorithm R); bounds report()
+// memory regardless of how many lifetimes run.
+constexpr size_t kLatencyReservoir = 512;
+constexpr uint64_t kReservoirSeed = 0x7e9a57'c01075ULL;
+// Guard priority per granted class (indexed by TenantClass) when a
+// ColorGuard is bound: a best-effort holder of a collided color always
+// moves before a burstable one, and that before a guaranteed one.
+constexpr unsigned kGuardPriority[kNumTenantClasses] = {2, 1, 0};
 }  // namespace
 
 const char* to_string(TenantClass cls) {
@@ -36,7 +46,7 @@ AdmissionController::AdmissionController(os::Kernel& kernel,
       memsys_(memsys),
       topo_(kernel.topology()),
       cfg_(cfg),
-      rng_(cfg.seed) {
+      rng_(kReservoirSeed) {
   const unsigned nodes = topo_.num_nodes();
   prev_node_accesses_.assign(nodes, 0);
   node_ewma_.assign(nodes, 0.0);
@@ -44,54 +54,21 @@ AdmissionController::AdmissionController(os::Kernel& kernel,
 }
 
 void AdmissionController::observe() {
-  std::vector<ShrinkPlan> plans;
-  {
-    std::lock_guard lk(mu_);
-    for (unsigned node = 0; node < topo_.num_nodes(); ++node) {
-      const sim::MemoryController& mc = memsys_.controller(node);
-      uint64_t total = 0;
-      for (unsigned b = 0; b < mc.num_local_banks(); ++b)
-        total += mc.bank_accesses(b);
-      // Counters reset on MemorySystem::reset(): a reading below the
-      // stored previous re-anchors with an idle delta.
-      const uint64_t delta =
-          total >= prev_node_accesses_[node] ? total - prev_node_accesses_[node]
-                                             : 0;
-      prev_node_accesses_[node] = total;
-      node_ewma_[node] = cfg_.ewma_alpha * static_cast<double>(delta) +
-                         (1.0 - cfg_.ewma_alpha) * node_ewma_[node];
-    }
-    tick_locked();
-    if (cfg_.elastic_shrink && guard_ != nullptr) {
-      // Palette-scan trigger (a): tenants over their class budget give
-      // the excess back.
-      plans = plan_overbudget_shrink_locked();
-      // Trigger (b): the earliest-deadline waitlisted arrival, if any,
-      // gets a shrink plan that would unblock it.
-      if (cfg_.waitlist && !waitlist_.empty()) {
-        const auto head = std::min_element(
-            waitlist_.begin(), waitlist_.end(),
-            [](const Waiting& a, const Waiting& b) {
-              if (a.deadline != b.deadline) return a.deadline < b.deadline;
-              return a.wait_id < b.wait_id;
-            });
-        if (head->cls != TenantClass::kBestEffort) {
-          const std::vector<ShrinkPlan> more =
-              plan_admit_shrink_locked(head->cls);
-          plans.insert(plans.end(), more.begin(), more.end());
-        }
-      }
-    }
+  std::lock_guard lk(mu_);
+  for (unsigned node = 0; node < topo_.num_nodes(); ++node) {
+    const sim::MemoryController& mc = memsys_.controller(node);
+    uint64_t total = 0;
+    for (unsigned b = 0; b < mc.num_local_banks(); ++b)
+      total += mc.bank_accesses(b);
+    // Counters reset on MemorySystem::reset(): a reading below the
+    // stored previous re-anchors with an idle delta.
+    const uint64_t delta =
+        total >= prev_node_accesses_[node] ? total - prev_node_accesses_[node]
+                                           : 0;
+    prev_node_accesses_[node] = total;
+    node_ewma_[node] = kEwmaAlpha * static_cast<double>(delta) +
+                       (1.0 - kEwmaAlpha) * node_ewma_[node];
   }
-  // Guard calls happen outside mu_ (rank kGuard sits below kAdmission).
-  if (!plans.empty()) execute_shrinks(plans);
-  std::vector<AdmissionTicket> granted;
-  {
-    std::lock_guard lk(mu_);
-    if (cfg_.waitlist) retry_waitlist_locked(granted);
-    promote_locked(granted);
-  }
-  apply_guard_priorities(granted);
 }
 
 double AdmissionController::node_headroom(unsigned node) const {
@@ -175,45 +152,21 @@ os::TaskId AdmissionController::spawn_locked(unsigned node) {
   return kernel_.create_task(picked);
 }
 
-AdmissionTicket AdmissionController::admit(TenantClass cls,
-                                           uint64_t deadline_ticks) {
+AdmissionTicket AdmissionController::admit(TenantClass cls) {
   AdmissionTicket t;
-  std::vector<ShrinkPlan> plans;
   {
     std::lock_guard lk(mu_);
-    tick_locked();
     t = attempt_locked(cls);
-    if (!t.admitted && cfg_.elastic_shrink && guard_ != nullptr &&
-        cls != TenantClass::kBestEffort)
-      plans = plan_admit_shrink_locked(cls);
-  }
-  if (!t.admitted && !plans.empty()) {
-    // The shrink swaps free the colors immediately (only the page
-    // dribble is asynchronous), so one retry under the lock suffices.
-    // Guard calls happen with mu_ released -- rank order.
-    execute_shrinks(plans);
-    std::lock_guard lk(mu_);
-    t = attempt_locked(cls);
-  }
-  if (!t.admitted) {
-    std::lock_guard lk(mu_);
-    if (cfg_.waitlist) {
-      t.waitlisted = true;
-      t.wait_id = next_wait_id_++;
-      t.deadline = clock_ + (deadline_ticks ? deadline_ticks
-                                            : cfg_.waitlist_deadline_ticks);
-      waitlist_.push_back({t.wait_id, cls, t.deadline});
-      accum_[static_cast<unsigned>(cls)].slo.waitlisted++;
-      stats_.waitlist_enqueued.fetch_add(1, std::memory_order_relaxed);
-      t.reason = kReasonWaitlisted;
-    } else {
+    if (!t.admitted) {
       accum_[static_cast<unsigned>(cls)].slo.rejected++;
       stats_.rejects.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Guard priorities are set outside the registry lock: rank kGuard sits
-  // below kAdmission and must never be acquired while it is held.
-  if (t.admitted) apply_guard_priorities({t});
+  // The guard priority is set outside the registry lock: rank kGuard
+  // sits below kAdmission and must never be acquired while it is held.
+  if (t.admitted && guard_ != nullptr)
+    guard_->set_tenant_priority(
+        t.task, kGuardPriority[static_cast<unsigned>(t.granted)]);
   return t;
 }
 
@@ -250,8 +203,7 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
     if (!banks.empty() || !llcs.empty()) {
       if (!kernel_.recolor_task(ticket.task, {}, banks, {}, llcs)) {
         // The kernel refused the claim (e.g. a color retired between the
-        // scan and the swap). Reap the fresh task; fail cleanly (the
-        // caller decides whether that means reject or waitlist).
+        // scan and the swap). Reap the fresh task and fail cleanly.
         kernel_.reap_task(ticket.task);
         ticket.reason = kReasonGrantFailed;
         return ticket;
@@ -262,8 +214,7 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
     ticket.banks = std::move(banks);
     ticket.llcs = std::move(llcs);
     ticket.reason = reason;
-    tenants_[ticket.task] =
-        Tenant{ticket.requested, ticket.granted, node, !ticket.banks.empty()};
+    tenants_[ticket.task] = Tenant{ticket.granted, !ticket.banks.empty()};
     accum_[static_cast<unsigned>(ticket.granted)].slo.admitted++;
     stats_.admits.fetch_add(1, std::memory_order_relaxed);
     if (ticket.downgraded) {
@@ -303,10 +254,6 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
         if (llcs.size() > cfg_.burstable.llcs) llcs.resize(cfg_.burstable.llcs);
         return grant(node, std::move(banks), std::move(llcs), kReasonGranted);
       }
-      if (!cfg_.allow_downgrade) {
-        ticket.reason = kReasonBanksDry;
-        return ticket;
-      }
       ticket.granted = TenantClass::kBestEffort;
       ticket.downgraded = true;
       return grant(order.front(), {}, {}, kReasonDowngraded);
@@ -317,294 +264,9 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
   return ticket;  // unreachable
 }
 
-void AdmissionController::tick_locked() {
-  ++clock_;
-  auto it = waitlist_.begin();
-  while (it != waitlist_.end()) {
-    if (clock_ > it->deadline) {
-      // The deadline passed before the palette freed: the arrival is a
-      // miss *and* a reject -- both ledgers see it, on the requested
-      // class.
-      ClassSlo& slo = accum_[static_cast<unsigned>(it->cls)].slo;
-      slo.deadline_missed++;
-      slo.rejected++;
-      stats_.waitlist_expired.fetch_add(1, std::memory_order_relaxed);
-      stats_.rejects.fetch_add(1, std::memory_order_relaxed);
-      it = waitlist_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::vector<AdmissionController::ShrinkPlan>
-AdmissionController::plan_admit_shrink_locked(TenantClass cls) {
-  std::vector<ShrinkPlan> plans;
-  if (cls == TenantClass::kBestEffort) return plans;  // uncolored: nothing to free
-
-  const hw::AddressMapping& map = kernel_.mapping();
-  std::vector<uint8_t> used_banks(map.num_bank_colors(), 0);
-  std::vector<uint8_t> used_llcs(map.num_llc_colors(), 0);
-  for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id) {
-    if (!kernel_.task_alive(id)) continue;
-    const os::Task::ColorSet& cs = kernel_.task(id).colors();
-    for (const uint16_t c : cs.mem_list) used_banks[c] = 1;
-    for (const uint8_t c : cs.llc_list) used_llcs[c] = 1;
-  }
-  // Shrinks free *bank* colors only: when the blocker is the LLC
-  // palette no shrink unblocks the admit, so plan nothing.
-  if (cls == TenantClass::kGuaranteed &&
-      free_llcs_locked(used_llcs).size() < cfg_.guaranteed.llcs)
-    return plans;
-
-  // A guaranteed admit needs its full bank budget on one node; a
-  // burstable admit unblocks with a single free bank anywhere.
-  const unsigned need =
-      cls == TenantClass::kGuaranteed ? cfg_.guaranteed.banks : 1;
-  const unsigned floor = std::max(1u, cfg_.shrink_floor_banks);
-
-  struct Victim {
-    os::TaskId id;
-    unsigned spare;   // held banks above the floor
-    size_t resident;  // colored pages to migrate == measured shrink cost
-  };
-  for (const unsigned node : placement_order_locked(used_banks)) {
-    const size_t free = free_banks_locked(node, used_banks).size();
-    if (free >= need) continue;  // attempt_locked already failed here: stale
-    const unsigned deficit = need - static_cast<unsigned>(free);
-
-    // Candidate victims: live colored tenants on this node granted at a
-    // *strictly lower* class (the priority shield) with spare banks.
-    std::vector<Victim> victims;
-    for (const auto& [id, tenant] : tenants_) {
-      if (tenant.node != node || !tenant.colored) continue;
-      if (static_cast<unsigned>(tenant.granted) <= static_cast<unsigned>(cls))
-        continue;
-      if (!kernel_.task_alive(id)) continue;
-      const auto& held = kernel_.task(id).colors().mem_list;
-      if (held.size() <= floor) continue;
-      size_t resident = 0;
-      for (const uint16_t c : held)
-        resident += kernel_.pages_of_task_color(id, c).size();
-      victims.push_back(
-          {id, static_cast<unsigned>(held.size()) - floor, resident});
-    }
-    // Measured-cheapest first: fewest resident colored pages (least
-    // migration debt); ties break on the lower task id -- deterministic.
-    std::sort(victims.begin(), victims.end(),
-              [](const Victim& a, const Victim& b) {
-                if (a.resident != b.resident) return a.resident < b.resident;
-                return a.id < b.id;
-              });
-    unsigned covered = 0;
-    std::vector<ShrinkPlan> node_plans;
-    for (const Victim& v : victims) {
-      if (covered >= deficit) break;
-      const unsigned drop = std::min(v.spare, deficit - covered);
-      node_plans.push_back({v.id, drop, floor});
-      covered += drop;
-    }
-    if (covered >= deficit) return node_plans;
-  }
-  return plans;  // infeasible everywhere: never shrink gratuitously
-}
-
-std::vector<AdmissionController::ShrinkPlan>
-AdmissionController::plan_overbudget_shrink_locked() {
-  std::vector<ShrinkPlan> plans;
-  std::vector<os::TaskId> ids;
-  ids.reserve(tenants_.size());
-  for (const auto& [id, tenant] : tenants_)
-    if (tenant.colored) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (const os::TaskId id : ids) {
-    const Tenant& tenant = tenants_[id];
-    if (!kernel_.task_alive(id)) continue;
-    const unsigned budget = tenant.granted == TenantClass::kGuaranteed
-                                ? cfg_.guaranteed.banks
-                                : tenant.granted == TenantClass::kBurstable
-                                      ? cfg_.burstable.banks
-                                      : 0;
-    // Shrink back to the class budget, never below the global floor --
-    // a tenant's budget *is* its class minimum here.
-    const unsigned floor = std::max({1u, cfg_.shrink_floor_banks, budget});
-    const size_t held = kernel_.task(id).colors().mem_list.size();
-    if (held <= floor) continue;
-    plans.push_back({id, static_cast<unsigned>(held) - floor, floor});
-  }
-  return plans;
-}
-
-void AdmissionController::retry_waitlist_locked(
-    std::vector<AdmissionTicket>& granted) {
-  if (waitlist_.empty()) return;
-  // Earliest deadline first; the enqueue id breaks ties so two entries
-  // with one deadline retry in arrival order.
-  std::stable_sort(waitlist_.begin(), waitlist_.end(),
-                   [](const Waiting& a, const Waiting& b) {
-                     if (a.deadline != b.deadline)
-                       return a.deadline < b.deadline;
-                     return a.wait_id < b.wait_id;
-                   });
-  auto it = waitlist_.begin();
-  while (it != waitlist_.end()) {
-    AdmissionTicket t = attempt_locked(it->cls);
-    if (!t.admitted) {
-      // Still blocked: keep the entry; a failed retry is not a reject.
-      ++it;
-      continue;
-    }
-    t.waitlisted = true;
-    t.wait_id = it->wait_id;
-    t.deadline = it->deadline;
-    accum_[static_cast<unsigned>(it->cls)].slo.admitted_from_waitlist++;
-    stats_.waitlist_admitted.fetch_add(1, std::memory_order_relaxed);
-    ready_.emplace(it->wait_id, t);
-    granted.push_back(std::move(t));
-    it = waitlist_.erase(it);
-  }
-}
-
-void AdmissionController::promote_locked(
-    std::vector<AdmissionTicket>& granted) {
-  if (!cfg_.promote_downgraded) return;
-  std::vector<os::TaskId> ids;
-  for (const auto& [id, tenant] : tenants_)
-    if (tenant.requested == TenantClass::kBurstable &&
-        tenant.granted == TenantClass::kBestEffort)
-      ids.push_back(id);
-  if (ids.empty()) return;
-  std::sort(ids.begin(), ids.end());
-
-  const hw::AddressMapping& map = kernel_.mapping();
-  std::vector<uint8_t> used_banks(map.num_bank_colors(), 0);
-  std::vector<uint8_t> used_llcs(map.num_llc_colors(), 0);
-  for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id) {
-    if (!kernel_.task_alive(id)) continue;
-    const os::Task::ColorSet& cs = kernel_.task(id).colors();
-    for (const uint16_t c : cs.mem_list) used_banks[c] = 1;
-    for (const uint8_t c : cs.llc_list) used_llcs[c] = 1;
-  }
-  for (const os::TaskId id : ids) {
-    Tenant& tenant = tenants_[id];
-    if (!kernel_.task_alive(id)) continue;
-    std::vector<uint16_t> banks = free_banks_locked(tenant.node, used_banks);
-    std::vector<uint8_t> llcs = free_llcs_locked(used_llcs);
-    // Promotion is all-or-nothing: the *full* burstable grant must fit
-    // on the node the tenant already runs on (no cross-node move).
-    if (banks.size() < cfg_.burstable.banks ||
-        llcs.size() < cfg_.burstable.llcs)
-      continue;
-    banks.resize(cfg_.burstable.banks);
-    llcs.resize(cfg_.burstable.llcs);
-    if (!kernel_.recolor_task(id, {}, banks, {}, llcs)) continue;
-    for (const uint16_t c : banks) used_banks[c] = 1;
-    for (const uint8_t c : llcs) used_llcs[c] = 1;
-    tenant.granted = TenantClass::kBurstable;
-    tenant.colored = true;
-    accum_[static_cast<unsigned>(TenantClass::kBurstable)].slo.promoted++;
-    stats_.promotions.fetch_add(1, std::memory_order_relaxed);
-    AdmissionTicket t;
-    t.admitted = true;
-    t.task = id;
-    t.requested = TenantClass::kBurstable;
-    t.granted = TenantClass::kBurstable;
-    t.node = tenant.node;
-    t.banks = std::move(banks);
-    t.llcs = std::move(llcs);
-    t.reason = kReasonPromoted;
-    granted.push_back(std::move(t));
-  }
-}
-
-void AdmissionController::execute_shrinks(
-    const std::vector<ShrinkPlan>& plans) {
-  if (guard_ == nullptr) return;
-  for (const ShrinkPlan& p : plans) {
-    stats_.shrink_requests.fetch_add(1, std::memory_order_relaxed);
-    // The guard may refuse (victim mid-heal, idle color, dead task):
-    // freed == 0 then, and the caller's retry simply fails again.
-    const unsigned freed = guard_->start_shrink(p.victim, p.drop, p.floor);
-    stats_.shrink_banks_freed.fetch_add(freed, std::memory_order_relaxed);
-  }
-}
-
-void AdmissionController::apply_guard_priorities(
-    const std::vector<AdmissionTicket>& granted) {
-  if (guard_ == nullptr) return;
-  for (const AdmissionTicket& t : granted) {
-    if (!t.admitted) continue;
-    unsigned prio = cfg_.priority_best_effort;
-    if (t.granted == TenantClass::kGuaranteed)
-      prio = cfg_.priority_guaranteed;
-    else if (t.granted == TenantClass::kBurstable)
-      prio = cfg_.priority_burstable;
-    guard_->set_tenant_priority(t.task, prio);
-  }
-}
-
-AdmissionController::WaitOutcome AdmissionController::claim(uint64_t wait_id) {
-  std::lock_guard lk(mu_);
-  WaitOutcome out;
-  const auto it = ready_.find(wait_id);
-  if (it != ready_.end()) {
-    out.state = WaitOutcome::State::kReady;
-    out.ticket = it->second;
-    ready_.erase(it);
-    return out;
-  }
-  for (const Waiting& w : waitlist_) {
-    if (w.wait_id == wait_id) {
-      out.state = WaitOutcome::State::kPending;
-      return out;
-    }
-  }
-  return out;  // kGone: expired, cancelled, unknown or already claimed
-}
-
-bool AdmissionController::cancel_wait(uint64_t wait_id) {
-  os::TaskId orphan = 0;
-  bool tear = false;
-  {
-    std::lock_guard lk(mu_);
-    for (auto it = waitlist_.begin(); it != waitlist_.end(); ++it) {
-      if (it->wait_id != wait_id) continue;
-      waitlist_.erase(it);
-      stats_.waitlist_cancelled.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    const auto rit = ready_.find(wait_id);
-    if (rit == ready_.end()) return false;
-    orphan = rit->second.task;
-    ready_.erase(rit);
-    stats_.waitlist_cancelled.fetch_add(1, std::memory_order_relaxed);
-    tear = true;
-  }
-  // Admitted-but-unclaimed: the tenant is live, so tear it down (the
-  // caller never saw the ticket). teardown() re-acquires mu_.
-  if (tear) teardown(orphan);
-  return true;
-}
-
-unsigned AdmissionController::retry_waitlist() {
-  std::vector<AdmissionTicket> granted;
-  {
-    std::lock_guard lk(mu_);
-    retry_waitlist_locked(granted);
-  }
-  apply_guard_priorities(granted);
-  return static_cast<unsigned>(granted.size());
-}
-
-size_t AdmissionController::waitlist_depth() const {
-  std::lock_guard lk(mu_);
-  return waitlist_.size();
-}
-
 AdmissionController::TeardownReport AdmissionController::teardown(
     os::TaskId task, std::span<const double> latency_samples) {
   TeardownReport rep;
-  std::vector<AdmissionTicket> granted;
   {
     std::lock_guard lk(mu_);
     const auto it = tenants_.find(task);
@@ -632,7 +294,7 @@ AdmissionController::TeardownReport AdmissionController::teardown(
     // Algorithm-R reservoir keeps the latency rollup O(1) per tenant.
     for (const double x : latency_samples) {
       const uint64_t seen = acc.slo.latency_samples++;
-      if (acc.reservoir.size() < cfg_.latency_reservoir) {
+      if (acc.reservoir.size() < kLatencyReservoir) {
         acc.reservoir.push_back(x);
       } else {
         const uint64_t j = rng_.next_below(seen + 1);
@@ -644,15 +306,8 @@ AdmissionController::TeardownReport AdmissionController::teardown(
     // color claims -- all inside the registry lock so a concurrent
     // admit never sees a half-released palette as claimed.
     rep.reap = kernel_.reap_task(task);
-
-    // The departure freed palette: advance the clock, hand the colors
-    // to the earliest-deadline waiters, then to downgraded burstables.
-    tick_locked();
-    if (cfg_.waitlist) retry_waitlist_locked(granted);
-    promote_locked(granted);
   }
   if (guard_ != nullptr) guard_->set_tenant_priority(task, 0);
-  apply_guard_priorities(granted);
   return rep;
 }
 

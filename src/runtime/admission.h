@@ -66,49 +66,13 @@ struct ClassBudget {
 
 struct AdmissionConfig {
   ClassBudget guaranteed{4, 2};
+  // A burstable tenant that finds zero free bank colors is admitted as
+  // best-effort and counted as a downgrade.
   ClassBudget burstable{2, 1};
-  // When a burstable tenant finds zero free bank colors, admit it as
-  // best-effort (counted as a downgrade) instead of rejecting.
-  bool allow_downgrade = true;
-  // EWMA smoothing for the per-node controller access deltas behind the
-  // bandwidth-headroom placement score.
-  double ewma_alpha = 0.3;
   // Modeled per-channel access capacity per observe() interval. A
   // node's headroom is 1 - ewma / (capacity * channels_per_node),
   // clamped at 0.
   uint64_t channel_capacity = 4096;
-  // Per-class latency reservoir size (algorithm R); bounds report()
-  // memory regardless of how many lifetimes run.
-  size_t latency_reservoir = 512;
-  uint64_t seed = 0x7e9a57'c01075ULL;
-  // Guard priorities assigned per granted class when a ColorGuard is
-  // bound: under the kCheapest victim policy a best-effort holder
-  // always moves before a burstable one, and that before a guaranteed
-  // one.
-  unsigned priority_guaranteed = 2;
-  unsigned priority_burstable = 1;
-  unsigned priority_best_effort = 0;
-
-  // --- elastic color runtime (DESIGN.md section 15; default-off) ---
-  // When a colored admit is blocked on bank scarcity, ask the bound
-  // ColorGuard to shrink the measured-cheapest lower-class tenants on
-  // the target node and retry once. Requires bind_guard(); a class can
-  // only shrink tenants granted at a *strictly lower* class (the
-  // priority shield), and never below shrink_floor_banks survivors.
-  bool elastic_shrink = false;
-  unsigned shrink_floor_banks = 1;
-  // Deadline-aware waitlist: an arrival the palette cannot serve is
-  // queued instead of rejected and retried -- earliest deadline first --
-  // whenever the palette frees (teardown, shrink, observe). An entry
-  // whose deadline passes is dropped and counted as a miss + reject.
-  bool waitlist = false;
-  // Default deadline in admission ticks. The controller keeps a logical
-  // clock (one tick per admit/teardown/observe call) so deadlines are
-  // deterministic -- no wall time.
-  uint64_t waitlist_deadline_ticks = 64;
-  // Re-promote a downgraded burstable to its full burstable grant when
-  // the palette can serve it again (checked on teardown/observe).
-  bool promote_downgraded = false;
 };
 
 // The admission decision, returned to the workload. When admitted, the
@@ -125,12 +89,6 @@ struct AdmissionTicket {
   std::vector<uint8_t> llcs;
   // Human-readable admission reason (static storage; never dangles).
   const char* reason = "";
-  // Waitlisted instead of admitted (cfg.waitlist): poll claim(wait_id)
-  // until the entry is admitted from the waitlist or its deadline
-  // (absolute admission tick) passes.
-  bool waitlisted = false;
-  uint64_t wait_id = 0;
-  uint64_t deadline = 0;
 };
 
 // Per-class SLO rollup over *completed* (torn-down) tenants.
@@ -156,11 +114,6 @@ struct ClassSlo {
   uint64_t widened_pages = 0;
   uint64_t scavenged_pages = 0;
   uint64_t failed_allocs = 0;
-  // --- elastic lifecycle (accounted on the *requested* class) ---
-  uint64_t waitlisted = 0;             // arrivals queued with a deadline
-  uint64_t admitted_from_waitlist = 0; // queued arrivals later admitted
-  uint64_t deadline_missed = 0;        // queued arrivals that expired
-  uint64_t promoted = 0;               // downgraded burstables re-promoted
 };
 
 struct SloReport {
@@ -176,37 +129,19 @@ struct SloReport {
 // loads*, not a cross-field transaction.
 struct AdmissionStats {
   std::atomic<uint64_t> admits{0};     // tickets granted (any class)
-  std::atomic<uint64_t> rejects{0};    // hard rejects (incl. expired waits)
+  std::atomic<uint64_t> rejects{0};
   std::atomic<uint64_t> downgrades{0};
-  std::atomic<uint64_t> waitlist_enqueued{0};
-  std::atomic<uint64_t> waitlist_admitted{0};
-  std::atomic<uint64_t> waitlist_expired{0};
-  std::atomic<uint64_t> waitlist_cancelled{0};
-  std::atomic<uint64_t> promotions{0};
-  std::atomic<uint64_t> shrink_requests{0};    // start_shrink calls issued
-  std::atomic<uint64_t> shrink_banks_freed{0}; // colors those calls dropped
 
   struct Snapshot {
     uint64_t admits = 0;
     uint64_t rejects = 0;
     uint64_t downgrades = 0;
-    uint64_t waitlist_enqueued = 0;
-    uint64_t waitlist_admitted = 0;
-    uint64_t waitlist_expired = 0;
-    uint64_t waitlist_cancelled = 0;
-    uint64_t promotions = 0;
-    uint64_t shrink_requests = 0;
-    uint64_t shrink_banks_freed = 0;
   };
   Snapshot snapshot() const {
     const auto ld = [](const std::atomic<uint64_t>& a) {
       return a.load(std::memory_order_relaxed);
     };
-    return {ld(admits),           ld(rejects),
-            ld(downgrades),       ld(waitlist_enqueued),
-            ld(waitlist_admitted), ld(waitlist_expired),
-            ld(waitlist_cancelled), ld(promotions),
-            ld(shrink_requests),  ld(shrink_banks_freed)};
+    return {ld(admits), ld(rejects), ld(downgrades)};
   }
 };
 
@@ -225,41 +160,12 @@ class AdmissionController {
   // Samples per-node controller access deltas into the headroom EWMAs.
   // Call periodically (the churn engine calls it every few lifetimes);
   // admit() works without it but then places on free colors alone.
-  // With the elastics on, observe() is also the palette-scan trigger:
-  // it shrinks tenants holding more banks than their class budget back
-  // to it, attempts shrinks for blocked waitlisted arrivals, and then
-  // retries the waitlist in deadline order.
   void observe();
 
   // Admit a tenant at `cls`. See AdmissionTicket. Deterministic given
-  // the same kernel/tenant state: no randomness in placement. With
-  // cfg.elastic_shrink a blocked colored admit first asks the guard to
-  // shrink cheaper lower-class tenants and retries once; with
-  // cfg.waitlist a still-blocked arrival is queued (ticket.waitlisted)
-  // with deadline now + deadline_ticks (0 = cfg default).
-  AdmissionTicket admit(TenantClass cls, uint64_t deadline_ticks = 0);
-
-  // Poll a waitlisted arrival. kReady hands over the admission ticket
-  // exactly once (the tenant is live from the moment the retry admitted
-  // it; the caller owns teardown from here). kGone covers expired,
-  // cancelled, unknown and already-claimed ids.
-  struct WaitOutcome {
-    enum class State { kPending, kReady, kGone } state = State::kGone;
-    AdmissionTicket ticket;
-  };
-  WaitOutcome claim(uint64_t wait_id);
-
-  // Abandon a waitlisted arrival: a pending entry is dropped; an
-  // already-admitted-but-unclaimed one is torn down (so callers that
-  // stop polling leak nothing). Returns true when something was removed.
-  bool cancel_wait(uint64_t wait_id);
-
-  // Retry the waitlist now (deadline order), e.g. after an external
-  // palette free such as a RAS retirement replacement. teardown() and
-  // observe() call this internally. Returns entries admitted.
-  unsigned retry_waitlist();
-
-  size_t waitlist_depth() const;
+  // the same kernel/tenant state: no randomness in placement. A tenant
+  // the palette cannot serve is rejected (or, if burstable, downgraded).
+  AdmissionTicket admit(TenantClass cls);
 
   // Lock-free lifecycle counters (see AdmissionStats).
   const AdmissionStats& stats() const { return stats_; }
@@ -284,53 +190,16 @@ class AdmissionController {
 
  private:
   struct Tenant {
-    TenantClass requested;
     TenantClass granted;
-    unsigned node;
     bool colored;  // granted at least one bank color
   };
   struct ClassAccum {
     ClassSlo slo;                    // percentile fields unused here
     std::vector<double> reservoir;   // algorithm-R latency sample
   };
-  struct Waiting {
-    uint64_t wait_id;
-    TenantClass cls;
-    uint64_t deadline;  // absolute tick; dropped once clock_ passes it
-  };
-  // One guard shrink the elastic planner decided on (executed outside
-  // mu_ -- rank kGuard sits below kAdmission).
-  struct ShrinkPlan {
-    os::TaskId victim;
-    unsigned drop;
-    unsigned floor;
-  };
-
   // Pure admission attempt: grants + per-class admit accounting on
-  // success, *no* reject/waitlist accounting on failure (the callers --
-  // admit(), the waitlist retry -- decide what a failure means).
+  // success, *no* reject accounting on failure (admit() does that).
   AdmissionTicket attempt_locked(TenantClass cls);
-  // Advances the logical clock and expires overdue waitlist entries.
-  void tick_locked();
-  // Plans shrinks that would unblock a colored admit at `cls`: scans
-  // placement-ordered nodes for one whose deficit is coverable by
-  // shrinking strictly-lower-class colored tenants (cheapest first,
-  // cost = resident colored pages), and returns the plans for the first
-  // such node. Empty when infeasible -- the planner never shrinks
-  // gratuitously for an admit that would still fail.
-  std::vector<ShrinkPlan> plan_admit_shrink_locked(TenantClass cls);
-  // Plans shrinks for tenants holding more banks than their granted
-  // class budget allows (the palette-scan trigger).
-  std::vector<ShrinkPlan> plan_overbudget_shrink_locked();
-  // Deadline-order retry of the waitlist; admitted tickets are parked in
-  // ready_ for claim() and appended to `granted` so the caller can set
-  // guard priorities after unlocking.
-  void retry_waitlist_locked(std::vector<AdmissionTicket>& granted);
-  // Re-promotes downgraded burstables whose full grant fits again.
-  void promote_locked(std::vector<AdmissionTicket>& granted);
-  // Executes plans against the guard. Caller must NOT hold mu_.
-  void execute_shrinks(const std::vector<ShrinkPlan>& plans);
-  void apply_guard_priorities(const std::vector<AdmissionTicket>& granted);
   // Bank colors of `node` (ascending) held by no live task and not
   // retired; `used_banks` is the live-holder scan done once per admit.
   std::vector<uint16_t> free_banks_locked(
@@ -352,12 +221,6 @@ class AdmissionController {
   std::unordered_map<os::TaskId, Tenant> tenants_;
   ClassAccum accum_[kNumTenantClasses];
   AdmissionStats stats_;
-  // Waitlist state (all under mu_): pending entries, tickets admitted
-  // from the waitlist awaiting claim(), the logical clock and id source.
-  std::vector<Waiting> waitlist_;
-  std::unordered_map<uint64_t, AdmissionTicket> ready_;
-  uint64_t clock_ = 0;
-  uint64_t next_wait_id_ = 1;
   tint::Rng rng_;  // reservoir sampling only
   // Bandwidth model state: cumulative per-node access totals at the
   // last observe(), and the EWMA'd deltas.

@@ -26,7 +26,6 @@ void ChurnEngine::worker(unsigned index, uint64_t lifetimes,
   tint::Rng rng(tint::mix64(cfg_.seed ^ (0x9e3779b97f4a7c15ULL * (index + 1))));
   const uint64_t page = kernel_.topology().page_bytes();
   std::vector<Live> live;
-  std::vector<uint64_t> pending;  // waitlist ids this worker polls
   uint64_t step = 0;
 
   // Departure before arrival once the worker is at capacity. The
@@ -83,27 +82,6 @@ void ChurnEngine::worker(unsigned index, uint64_t lifetimes,
     if (cfg_.observe_every && step % cfg_.observe_every == 0)
       admission_.observe();
 
-    // Poll parked arrivals first: an earlier departure (ours or another
-    // worker's) may have admitted them from the waitlist.
-    for (size_t i = 0; i < pending.size();) {
-      const AdmissionController::WaitOutcome w = admission_.claim(pending[i]);
-      if (w.state == AdmissionController::WaitOutcome::State::kPending) {
-        ++i;
-        continue;
-      }
-      pending.erase(pending.begin() + static_cast<long>(i));
-      if (w.state == AdmissionController::WaitOutcome::State::kReady) {
-        ++out.wait_admitted;
-        ++out.admitted;
-        if (w.ticket.downgraded) ++out.downgraded;
-        make_room();
-        materialize(w.ticket);
-      } else {
-        ++out.wait_expired;  // deadline passed: a reject, just deferred
-        ++out.rejected;
-      }
-    }
-
     // Log-normal departures happen on schedule, not only under capacity
     // pressure -- the tail of long-lived tenants empties out naturally.
     if (cfg_.lifetime_model == LifetimeModel::kLogNormal) {
@@ -118,7 +96,7 @@ void ChurnEngine::worker(unsigned index, uint64_t lifetimes,
     }
 
     // Arrivals this step: exactly one (legacy) or a Poisson burst
-    // (possibly zero -- the step still observes, expires and polls).
+    // (possibly zero -- the step still observes and expires).
     uint64_t arrivals = 1;
     if (cfg_.arrival_model == ArrivalModel::kPoissonBurst)
       arrivals = std::min<uint64_t>(
@@ -134,11 +112,6 @@ void ChurnEngine::worker(unsigned index, uint64_t lifetimes,
               ? TenantClass::kBurstable
               : TenantClass::kBestEffort;
       const AdmissionTicket ticket = admission_.admit(cls);
-      if (ticket.waitlisted) {
-        ++out.waitlisted;
-        pending.push_back(ticket.wait_id);
-        continue;
-      }
       if (!ticket.admitted) {
         ++out.rejected;
         continue;
@@ -149,28 +122,8 @@ void ChurnEngine::worker(unsigned index, uint64_t lifetimes,
     }
   }
 
-  // Drain: everything resident departs; parked arrivals get one final
-  // poll (our own teardowns may have just admitted them) and whatever
-  // is still queued is cancelled so the controller holds no orphaned
-  // tickets or live tasks for this worker.
+  // Drain: everything resident departs.
   for (Live& t : live) retire(t, out);
-  live.clear();
-  for (const uint64_t id : pending) {
-    const AdmissionController::WaitOutcome w = admission_.claim(id);
-    if (w.state == AdmissionController::WaitOutcome::State::kReady) {
-      ++out.wait_admitted;
-      ++out.admitted;
-      if (w.ticket.downgraded) ++out.downgraded;
-      Live t;
-      t.task = w.ticket.task;
-      retire(t, out);  // admitted at the buzzer: departs immediately
-    } else if (w.state == AdmissionController::WaitOutcome::State::kGone) {
-      ++out.wait_expired;
-      ++out.rejected;
-    } else if (admission_.cancel_wait(id)) {
-      ++out.wait_cancelled;
-    }
-  }
 }
 
 ChurnResult ChurnEngine::run() {
@@ -201,10 +154,6 @@ ChurnResult ChurnEngine::run() {
     total.mmap_failures += p.mmap_failures;
     total.vmas_unmapped += p.vmas_unmapped;
     total.colors_cleared += p.colors_cleared;
-    total.waitlisted += p.waitlisted;
-    total.wait_admitted += p.wait_admitted;
-    total.wait_expired += p.wait_expired;
-    total.wait_cancelled += p.wait_cancelled;
   }
   return total;
 }

@@ -27,8 +27,8 @@
 namespace tint::runtime {
 
 // How arrivals are spaced over engine steps. The engine advances in
-// discrete steps; a step is the unit the observe cadence, lifetime
-// expiries and waitlist polling all run on.
+// discrete steps; a step is the unit the observe cadence and lifetime
+// expiries run on.
 enum class ArrivalModel : uint8_t {
   kUniform = 0,   // legacy: exactly one arrival per step
   // Poisson(poisson_burst_mean) arrivals per step: bursty like real
@@ -41,7 +41,7 @@ enum class LifetimeModel : uint8_t {
   kUniform = 0,   // legacy: lives until evicted by capacity (random victim)
   // Departs after ~LogNormal(lognormal_mu, lognormal_sigma) steps: most
   // tenants are short-lived, a heavy tail lingers -- the mix that makes
-  // palette fragmentation and shrink pressure realistic.
+  // palette fragmentation realistic.
   kLogNormal = 1,
 };
 
@@ -58,8 +58,7 @@ struct ChurnConfig {
   double pct_guaranteed = 0.25;
   double pct_burstable = 0.35;
   // Call AdmissionController::observe() every N steps per worker (keeps
-  // the bandwidth-headroom model warm and, with the elastics on, drives
-  // the palette scan + waitlist retry). 0 disables.
+  // the bandwidth-headroom model warm). 0 disables.
   unsigned observe_every = 8;
   uint64_t seed = 0xc01095eedULL;
   // Timing realism (defaults reproduce the legacy uniform engine
@@ -85,13 +84,6 @@ struct ChurnResult {
   // ledger the soak test audits against check_invariants().
   uint64_t vmas_unmapped = 0;
   uint64_t colors_cleared = 0;
-  // Deadline-aware waitlist outcomes (nonzero only when the bound
-  // AdmissionController runs with cfg.waitlist). wait_admitted also
-  // counts in `admitted`; wait_expired also counts in `rejected`.
-  uint64_t waitlisted = 0;      // arrivals parked with a deadline
-  uint64_t wait_admitted = 0;   // parked arrivals later admitted + claimed
-  uint64_t wait_expired = 0;    // parked arrivals whose deadline passed
-  uint64_t wait_cancelled = 0;  // abandoned at drain (engine shutdown)
 };
 
 class ChurnEngine {

@@ -6,6 +6,18 @@
 
 namespace tint::runtime {
 
+namespace {
+// EWMA smoothing factor for the per-color conflict rate (0..1; higher =
+// reacts faster, forgets faster).
+constexpr double kEwmaAlpha = 0.4;
+// Cap on the exponential backoff after a failed migration, in epochs.
+constexpr unsigned kBackoffCapEpochs = 8;
+// Observe-only triggers: epoch deltas of ladder pressure counters at or
+// above these thresholds suppress healing for the epoch.
+constexpr uint64_t kSuppressAllocFailures = 1;
+constexpr uint64_t kSuppressScavenges = 1;
+}  // namespace
+
 ColorGuard::ColorGuard(os::Kernel& kernel, const sim::MemorySystem& memsys,
                        GuardConfig cfg)
     : kernel_(kernel),
@@ -91,7 +103,7 @@ void ColorGuard::sample_locked() {
                               ? static_cast<double>(dc) / static_cast<double>(da)
                               : 0.0;
       double e = bank_ewma_[color].load(std::memory_order_relaxed);
-      e = cfg_.ewma_alpha * rate + (1.0 - cfg_.ewma_alpha) * e;
+      e = kEwmaAlpha * rate + (1.0 - kEwmaAlpha) * e;
       bank_ewma_[color].store(e, std::memory_order_relaxed);
       const uint8_t hot = bank_hot_[color].load(std::memory_order_relaxed);
       if (!hot && e >= cfg_.hot_enter) {
@@ -105,8 +117,7 @@ void ColorGuard::sample_locked() {
 
   // LLC colors: each color's share of the cross-requester evictions this
   // epoch (a color soaking up most of the thrash is "hot"). Hot LLC
-  // colors are healed like banks when cfg_.heal_llc, and always feed
-  // the avoid-set of LLC heals.
+  // colors are healed like banks and feed the avoid-set of LLC heals.
   const unsigned nl = mapping_.num_llc_colors();
   std::vector<uint64_t> per_color(nl, 0);
   const unsigned llc_instances = topo.llc_per_socket ? topo.sockets : 1;
@@ -137,7 +148,7 @@ void ColorGuard::sample_locked() {
                                   static_cast<double>(total_delta)
                             : 0.0;
     double e = llc_ewma_[c].load(std::memory_order_relaxed);
-    e = cfg_.ewma_alpha * rate + (1.0 - cfg_.ewma_alpha) * e;
+    e = kEwmaAlpha * rate + (1.0 - kEwmaAlpha) * e;
     llc_ewma_[c].store(e, std::memory_order_relaxed);
     const uint8_t hot = llc_hot_[c].load(std::memory_order_relaxed);
     if (!hot && e >= cfg_.hot_enter) {
@@ -153,10 +164,9 @@ bool ColorGuard::under_pressure_locked() {
   const os::KernelStats::Snapshot now = kernel_.stats().snapshot();
   bool pressured = false;
   if (now.alloc_failures - prev_kernel_.alloc_failures >=
-      cfg_.suppress_alloc_failures)
+      kSuppressAllocFailures)
     pressured = true;
-  if (now.scavenged_pages - prev_kernel_.scavenged_pages >=
-      cfg_.suppress_scavenges)
+  if (now.scavenged_pages - prev_kernel_.scavenged_pages >= kSuppressScavenges)
     pressured = true;
   prev_kernel_ = now;
   const unsigned nodes = kernel_.topology().num_nodes();
@@ -236,13 +246,11 @@ void ColorGuard::heal_locked(uint64_t epoch, unsigned& budget) {
     if (bank_hot_[c].load(std::memory_order_relaxed))
       hot.push_back({bank_ewma_[c].load(std::memory_order_relaxed), c,
                      core::ColorDim::kBank});
-  if (cfg_.heal_llc) {
-    const unsigned nl = mapping_.num_llc_colors();
-    for (unsigned c = 0; c < nl; ++c)
-      if (llc_hot_[c].load(std::memory_order_relaxed))
-        hot.push_back({llc_ewma_[c].load(std::memory_order_relaxed), c,
-                       core::ColorDim::kLlc});
-  }
+  const unsigned nl = mapping_.num_llc_colors();
+  for (unsigned c = 0; c < nl; ++c)
+    if (llc_hot_[c].load(std::memory_order_relaxed))
+      hot.push_back({llc_ewma_[c].load(std::memory_order_relaxed), c,
+                     core::ColorDim::kLlc});
   std::sort(hot.begin(), hot.end(), [](const HotColor& a, const HotColor& b) {
     if (a.ewma != b.ewma) return a.ewma > b.ewma;
     if (a.dim != b.dim) return a.dim < b.dim;  // banks first on a tie
@@ -290,14 +298,8 @@ void ColorGuard::heal_locked(uint64_t epoch, unsigned& budget) {
 
 std::vector<os::TaskId> ColorGuard::order_victims_locked(
     std::vector<os::TaskId> holders, unsigned color, core::ColorDim dim) {
-  if (cfg_.victim_policy == VictimPolicy::kNewest) {
-    // Legacy: newest holder first (the earlier tenant keeps the layout
-    // it was promised).
-    std::sort(holders.begin(), holders.end(),
-              [](os::TaskId a, os::TaskId b) { return a > b; });
-    return holders;
-  }
-  // kCheapest: order by (priority, measured traffic cost, newest).
+  // Cheapest victim first: order by (priority, measured traffic cost,
+  // newest) -- decisions follow observed counters, not arrival order.
   // Cost = resident pages on the hot color, weighted by the DRAM-access
   // rate of the tenant's core this epoch: moving a tenant with few
   // resident pages and little live traffic both costs the least
@@ -360,53 +362,16 @@ bool ColorGuard::start_heal_locked(os::TaskId task, unsigned hot_color,
       return false;
   }
   st.phase = TenantPhase::kMigrating;
-  st.op = TenantState::Op::kHeal;
   st.dim = dim;
-  st.old_colors = {static_cast<uint16_t>(hot_color)};
-  st.new_colors = {llc ? static_cast<uint16_t>(advice.additions.llc_colors.front())
-                       : advice.additions.mem_colors.front()};
+  st.old_color = static_cast<uint16_t>(hot_color);
+  st.new_color =
+      llc ? static_cast<uint16_t>(advice.additions.llc_colors.front())
+          : advice.additions.mem_colors.front();
   st.failures = 0;
   st.next_attempt_epoch = 0;
   stats_.heals_started.fetch_add(1, std::memory_order_relaxed);
   if (llc) stats_.llc_heals_started.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-unsigned ColorGuard::start_shrink_locked(os::TaskId task, unsigned drop_count,
-                                         unsigned floor) {
-  if (!kernel_.task_alive(task)) {
-    stats_.stale_tenant_skips.fetch_add(1, std::memory_order_relaxed);
-    return 0;
-  }
-  TenantState& st = tenant_locked(task);
-  if (st.phase != TenantPhase::kIdle) {
-    if (st.phase == TenantPhase::kCooldown)
-      stats_.cooldown_skips.fetch_add(1, std::memory_order_relaxed);
-    return 0;
-  }
-  // Coldness comes from the live detector state: the guard's bank EWMAs
-  // are exactly the "measured" heat plan_shrink ranks by.
-  const unsigned nb = mapping_.num_bank_colors();
-  std::vector<double> heat(nb, 0.0);
-  for (unsigned c = 0; c < nb; ++c)
-    heat[c] = bank_ewma_[c].load(std::memory_order_relaxed);
-  const core::TaskAdvice advice =
-      advisor_.plan_shrink(kernel_, task, drop_count, floor, heat);
-  if (advice.kind != core::TaskAdvice::Kind::kShrink ||
-      advice.removals.mem_colors.empty())
-    return 0;
-  if (!kernel_.recolor_task(task, advice.removals.mem_colors, {})) return 0;
-  st.phase = TenantPhase::kMigrating;
-  st.op = TenantState::Op::kShrink;
-  st.dim = core::ColorDim::kBank;
-  st.old_colors = advice.removals.mem_colors;
-  st.new_colors.clear();
-  st.failures = 0;
-  st.next_attempt_epoch = 0;
-  stats_.shrinks_started.fetch_add(1, std::memory_order_relaxed);
-  stats_.shrink_colors_dropped.fetch_add(advice.removals.mem_colors.size(),
-                                         std::memory_order_relaxed);
-  return static_cast<unsigned>(advice.removals.mem_colors.size());
 }
 
 void ColorGuard::advance_locked(os::TaskId task, TenantState& st,
@@ -426,24 +391,16 @@ void ColorGuard::advance_locked(os::TaskId task, TenantState& st,
   // migrations land, but concurrent faults can race pages away
   // (kMigrationRace) -- a bounded re-scan keeps the epoch from spinning.
   for (int pass = 0; pass < 2; ++pass) {
-    std::vector<os::VirtAddr> vas;
-    for (const uint16_t c : st.old_colors) {
-      const std::vector<os::VirtAddr> part = resident_locked(task, c, st.dim);
-      vas.insert(vas.end(), part.begin(), part.end());
-    }
+    const std::vector<os::VirtAddr> vas =
+        resident_locked(task, st.old_color, st.dim);
     if (vas.empty()) {
-      // Every colored page left the dropped color(s): the operation is
-      // complete.
+      // Every colored page left the hot color: the heal is complete.
       st.phase = TenantPhase::kCooldown;
       st.cooldown_until = epoch + cfg_.cooldown_epochs;
       st.failures = 0;
-      if (st.op == TenantState::Op::kShrink) {
-        stats_.shrinks_completed.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.heals_completed.fetch_add(1, std::memory_order_relaxed);
-        if (st.dim == core::ColorDim::kLlc)
-          stats_.llc_heals_completed.fetch_add(1, std::memory_order_relaxed);
-      }
+      stats_.heals_completed.fetch_add(1, std::memory_order_relaxed);
+      if (st.dim == core::ColorDim::kLlc)
+        stats_.llc_heals_completed.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     bool progressed = false;
@@ -473,7 +430,7 @@ void ColorGuard::advance_locked(os::TaskId task, TenantState& st,
         return;
       }
       const uint64_t wait = std::min<uint64_t>(
-          cfg_.backoff_cap_epochs,
+          kBackoffCapEpochs,
           static_cast<uint64_t>(cfg_.backoff_base_epochs)
               << (st.failures - 1));
       st.next_attempt_epoch = epoch + 1 + wait;
@@ -485,51 +442,19 @@ void ColorGuard::advance_locked(os::TaskId task, TenantState& st,
 
 void ColorGuard::rollback_locked(os::TaskId task, TenantState& st,
                                  unsigned& budget, uint64_t epoch) {
-  if (st.op == TenantState::Op::kShrink) {
-    // A shrink rollback re-adds the dropped colors -- but only those
-    // still unclaimed: the whole point of a shrink is that the freed
-    // colors become grantable immediately, so by the time migration
-    // gives up a new tenant may hold them. Re-adding a granted-away
-    // color would recreate the very collision the palette accounting
-    // exists to prevent; such colors stay lost (counted) and the
-    // tenant simply stays smaller. Pages already moved to survivors
-    // are consistently colored and stay put.
-    stats_.shrink_rollbacks.fetch_add(1, std::memory_order_relaxed);
-    std::vector<uint8_t> claimed(mapping_.num_bank_colors(), 0);
-    for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id) {
-      if (!kernel_.task_alive(id)) continue;
-      for (const uint16_t c : kernel_.task(id).mem_color_list())
-        claimed[c] = 1;
-    }
-    std::vector<uint16_t> readd;
-    for (const uint16_t c : st.old_colors) {
-      if (!claimed[c] && !kernel_.color_retired(c) &&
-          kernel_.node_online(mapping_.node_of_bank_color(c)))
-        readd.push_back(c);
-      else
-        stats_.shrink_colors_lost.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!readd.empty()) kernel_.recolor_task(task, {}, readd);
-    st.phase = TenantPhase::kCooldown;
-    st.cooldown_until = epoch + 2ULL * cfg_.cooldown_epochs;
-    st.failures = 0;
-    return;
-  }
-
-  // Heal rollback: restore the original color set in one published
-  // swap, then migrate whatever already moved back toward the old color
-  // -- best-effort: any page the return migration cannot move is still
-  // *consistently* colored (the old color is in the set again), just
-  // non-resident on its preferred bank until the tenant faults it back.
+  // Restore the original color set in one published swap, then migrate
+  // whatever already moved back toward the old color -- best-effort: any
+  // page the return migration cannot move is still *consistently*
+  // colored (the old color is in the set again), just non-resident on
+  // its preferred bank until the tenant faults it back.
   stats_.rollbacks.fetch_add(1, std::memory_order_relaxed);
-  const uint16_t old_c = st.old_colors.front();
-  const uint16_t new_c = st.new_colors.front();
   if (st.dim == core::ColorDim::kLlc)
-    kernel_.recolor_task(task, {}, {}, {static_cast<uint8_t>(new_c)},
-                         {static_cast<uint8_t>(old_c)});
+    kernel_.recolor_task(task, {}, {}, {static_cast<uint8_t>(st.new_color)},
+                         {static_cast<uint8_t>(st.old_color)});
   else
-    kernel_.recolor_task(task, {new_c}, {old_c});
-  const std::vector<os::VirtAddr> vas = resident_locked(task, new_c, st.dim);
+    kernel_.recolor_task(task, {st.new_color}, {st.old_color});
+  const std::vector<os::VirtAddr> vas =
+      resident_locked(task, st.new_color, st.dim);
   for (const os::VirtAddr va : vas) {
     if (!budget) break;
     const os::Kernel::MigrateResult r = kernel_.migrate_page(va);
@@ -547,12 +472,6 @@ bool ColorGuard::start_heal(os::TaskId task, unsigned hot_color,
                             core::ColorDim dim) {
   std::lock_guard lk(mu_);
   return start_heal_locked(task, hot_color, dim);
-}
-
-unsigned ColorGuard::start_shrink(os::TaskId task, unsigned drop_count,
-                                  unsigned floor) {
-  std::lock_guard lk(mu_);
-  return start_shrink_locked(task, drop_count, floor);
 }
 
 ColorGuard::TenantPhase ColorGuard::tenant_phase(os::TaskId task) const {

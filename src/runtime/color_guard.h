@@ -50,30 +50,12 @@
 
 namespace tint::runtime {
 
-// How the guard picks which holder of a collided color moves.
-enum class VictimPolicy : uint8_t {
-  // Move the *cheapest* tenant: order holders by priority (see
-  // set_tenant_priority -- higher-priority tenants move last), then by
-  // measured traffic cost (resident pages on the hot color weighted by
-  // the DRAM-access rate of the tenant's core this epoch), then newest
-  // first as the tie-break. This is the DReAM-style policy: decisions
-  // follow observed counters, not arrival order.
-  kCheapest = 0,
-  // Legacy PR-5 policy: the newest holder moves, unconditionally (the
-  // earlier tenant keeps the layout it was promised).
-  kNewest,
-};
-
 struct GuardConfig {
   // Master switch. Off (the default): run_epoch() samples and updates
   // the EWMAs but never touches a task -- the determinism goldens pin
-  // this. Healing requires an explicit opt-in.
+  // this. Healing (bank and LLC colors alike) requires an explicit
+  // opt-in.
   bool enabled = false;
-  // Victim selection for collision heals.
-  VictimPolicy victim_policy = VictimPolicy::kCheapest;
-  // EWMA smoothing factor for the per-color conflict rate (0..1; higher
-  // = reacts faster, forgets faster).
-  double ewma_alpha = 0.4;
   // Hysteresis band: a color turns hot when its EWMA conflict rate
   // crosses hot_enter, and cools only once it falls below hot_exit.
   double hot_enter = 0.35;
@@ -85,24 +67,14 @@ struct GuardConfig {
   // rate -- bounds the migration burst a heal may inject).
   unsigned migration_budget = 32;
   // Capped exponential backoff after a failed migration: the tenant
-  // waits 1 + min(cap, base << (failures-1)) epochs before retrying.
+  // waits 1 + min(8, base << (failures-1)) epochs before retrying.
   unsigned backoff_base_epochs = 1;
-  unsigned backoff_cap_epochs = 8;
   // Consecutive failed attempts before the tenant rolls back to its
   // original color set.
   unsigned max_heal_failures = 3;
-  // Heal hot *LLC* colors through the same swap+migrate pipeline as
-  // banks (still gated by `enabled`). On by default because a disabled
-  // guard never mutates anyway; turn off to restrict healing to the
-  // bank axis.
-  bool heal_llc = true;
   // Epochs a tenant is untouchable after a completed heal (doubled
   // after a rollback) -- the oscillation damper.
   unsigned cooldown_epochs = 4;
-  // Observe-only triggers: epoch deltas of ladder pressure counters at
-  // or above these thresholds suppress healing for the epoch.
-  uint64_t suppress_alloc_failures = 1;
-  uint64_t suppress_scavenges = 1;
 };
 
 struct GuardStats {
@@ -125,13 +97,6 @@ struct GuardStats {
   std::atomic<uint64_t> llc_hot_colors_detected{0};  // cold->hot, LLC axis
   std::atomic<uint64_t> llc_heals_started{0};
   std::atomic<uint64_t> llc_heals_completed{0};
-  // --- elastic shrink ---
-  std::atomic<uint64_t> shrinks_started{0};        // shrink swaps issued
-  std::atomic<uint64_t> shrinks_completed{0};      // all pages on survivors
-  std::atomic<uint64_t> shrink_colors_dropped{0};  // colors released
-  std::atomic<uint64_t> shrink_rollbacks{0};       // dropped colors re-added
-  // Dropped colors a rollback could *not* re-add (granted away meanwhile).
-  std::atomic<uint64_t> shrink_colors_lost{0};
 
   struct Snapshot {
     uint64_t epochs_run = 0;
@@ -149,11 +114,6 @@ struct GuardStats {
     uint64_t llc_hot_colors_detected = 0;
     uint64_t llc_heals_started = 0;
     uint64_t llc_heals_completed = 0;
-    uint64_t shrinks_started = 0;
-    uint64_t shrinks_completed = 0;
-    uint64_t shrink_colors_dropped = 0;
-    uint64_t shrink_rollbacks = 0;
-    uint64_t shrink_colors_lost = 0;
   };
   Snapshot snapshot() const {
     const auto ld = [](const std::atomic<uint64_t>& a) {
@@ -166,9 +126,7 @@ struct GuardStats {
             ld(rollbacks),        ld(rollback_pages),
             ld(cooldown_skips),   ld(stale_tenant_skips),
             ld(llc_hot_colors_detected), ld(llc_heals_started),
-            ld(llc_heals_completed), ld(shrinks_started),
-            ld(shrinks_completed), ld(shrink_colors_dropped),
-            ld(shrink_rollbacks), ld(shrink_colors_lost)};
+            ld(llc_heals_completed)};
   }
 };
 
@@ -204,20 +162,6 @@ class ColorGuard {
   bool start_heal(os::TaskId task, unsigned hot_color,
                   core::ColorDim dim = core::ColorDim::kBank);
 
-  // Elastic shrink (DESIGN.md section 15): drop up to `drop_count` of
-  // `task`'s coldest bank colors -- never below `floor` survivors --
-  // releasing them for re-admission. The color-set swap is immediate
-  // (the freed colors are grantable the moment this returns); the
-  // tenant's resident pages on the dropped colors dribble onto the
-  // survivors over the following epochs under the usual budget, with
-  // the same backoff/rollback/cooldown envelope as a heal (a shrink
-  // rollback re-adds only colors still unclaimed -- colors granted away
-  // meanwhile stay lost and are counted). Returns the number of colors
-  // actually dropped (0 when the tenant is unknown, dead, mid-heal,
-  // cooling, or already at the floor).
-  unsigned start_shrink(os::TaskId task, unsigned drop_count,
-                        unsigned floor = 1);
-
   // --- observability ---
   const GuardStats& stats() const { return stats_; }
   double bank_ewma(unsigned bank_color) const {
@@ -227,9 +171,8 @@ class ColorGuard {
     return bank_hot_[bank_color].load(std::memory_order_relaxed) != 0;
   }
   // LLC colors: EWMA over each color's share of cross-requester
-  // evictions; hot flags both select LLC heal targets (cfg.heal_llc)
-  // and feed the avoid-set so an LLC heal never lands on another
-  // thrashing slice.
+  // evictions; hot flags both select LLC heal targets and feed the
+  // avoid-set so an LLC heal never lands on another thrashing slice.
   double llc_ewma(unsigned llc_color) const {
     return llc_ewma_[llc_color].load(std::memory_order_relaxed);
   }
@@ -240,8 +183,8 @@ class ColorGuard {
   enum class TenantPhase { kIdle, kMigrating, kCooldown };
   TenantPhase tenant_phase(os::TaskId task) const;
 
-  // Per-tenant heal priority for the kCheapest victim policy: when a
-  // collision must be broken, lower-priority holders move first, and a
+  // Per-tenant heal priority for victim selection: when a collision
+  // must be broken, lower-priority holders move first, and a
   // higher-priority tenant moves only when every lower holder is
   // ineligible (cooling, mid-heal, dead). The admission controller sets
   // this from the tenant's QoS class; unset tenants default to 0. Safe
@@ -252,30 +195,25 @@ class ColorGuard {
  private:
   struct TenantState {
     TenantPhase phase = TenantPhase::kIdle;
-    // What the in-flight operation is. A heal swaps one color on one
-    // axis (old_colors/new_colors each hold one entry); a shrink drops
-    // several bank colors with no replacements (new_colors empty).
-    enum class Op : uint8_t { kHeal, kShrink } op = Op::kHeal;
+    // The in-flight heal: one color swapped on one axis.
     core::ColorDim dim = core::ColorDim::kBank;
-    std::vector<uint16_t> old_colors;
-    std::vector<uint16_t> new_colors;
+    uint16_t old_color = 0;
+    uint16_t new_color = 0;
     unsigned failures = 0;            // consecutive failed attempts
     uint64_t next_attempt_epoch = 0;  // backoff gate
     uint64_t cooldown_until = 0;
-    unsigned priority = 0;            // kCheapest policy: higher moves later
+    unsigned priority = 0;            // victim selection: higher moves later
   };
 
   void sample_locked();
   bool under_pressure_locked();
   void heal_locked(uint64_t epoch, unsigned& budget);
   // Orders the holders of a collided color so the preferred victim comes
-  // first, per cfg_.victim_policy.
+  // first: by priority, then measured traffic cost, then newest.
   std::vector<os::TaskId> order_victims_locked(
       std::vector<os::TaskId> holders, unsigned color, core::ColorDim dim);
   bool start_heal_locked(os::TaskId task, unsigned hot_color,
                          core::ColorDim dim);
-  unsigned start_shrink_locked(os::TaskId task, unsigned drop_count,
-                               unsigned floor);
   void advance_locked(os::TaskId task, TenantState& st, unsigned& budget,
                       uint64_t epoch);
   void rollback_locked(os::TaskId task, TenantState& st, unsigned& budget,
@@ -303,8 +241,8 @@ class ColorGuard {
   std::vector<uint64_t> prev_bank_accesses_;
   std::vector<uint64_t> prev_bank_conflicts_;
   std::vector<uint64_t> prev_llc_cross_;  // per LLC color
-  // Per-core DRAM-access deltas this epoch: the measured traffic the
-  // kCheapest victim policy weighs a tenant's resident pages by.
+  // Per-core DRAM-access deltas this epoch: the measured traffic victim
+  // selection weighs a tenant's resident pages by.
   std::vector<uint64_t> prev_core_dram_;
   std::vector<uint64_t> core_dram_delta_;
   os::KernelStats::Snapshot prev_kernel_;

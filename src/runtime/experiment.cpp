@@ -78,14 +78,6 @@ AggregateResult ExperimentDriver::run(const WorkloadSpec& spec,
     agg.frames_poisoned += r.frames_poisoned;
     agg.pages_migrated += r.pages_migrated;
     agg.colors_retired += r.colors_retired;
-    agg.magazine_hits += r.magazine_hits;
-    agg.magazine_misses += r.magazine_misses;
-    agg.batch_refills += r.batch_refills;
-    agg.ring_alloc_hits += r.ring_alloc_hits;
-    agg.ring_full_stalls += r.ring_full_stalls;
-    agg.prefault_pages += r.prefault_pages;
-    agg.batches_drained += r.batches_drained;
-    agg.recolor_calls += r.recolor_calls;
   }
   const double n = static_cast<double>(reps_);
   for (unsigned t = 0; t < T; ++t) {

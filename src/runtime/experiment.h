@@ -55,17 +55,6 @@ struct AggregateResult {
   uint64_t frames_poisoned = 0;
   uint64_t pages_migrated = 0;
   uint64_t colors_retired = 0;
-  // Fast-path cache counters, summed over reps (zero with caches off).
-  uint64_t magazine_hits = 0;
-  uint64_t magazine_misses = 0;
-  uint64_t batch_refills = 0;
-  // Offload-engine counters, summed over reps (zero with offload off).
-  uint64_t ring_alloc_hits = 0;
-  uint64_t ring_full_stalls = 0;
-  uint64_t prefault_pages = 0;
-  uint64_t batches_drained = 0;
-  // Live re-coloring swaps, summed over reps (zero without a ColorGuard).
-  uint64_t recolor_calls = 0;
 };
 
 class ExperimentDriver {

@@ -1,5 +1,5 @@
 // OffloadEngine: the background allocator core pool (DESIGN.md
-// sections 16 and 17).
+// sections 15 and 16).
 //
 // SpeedMalloc-style allocation offload: instead of every application
 // thread walking the coloring ladder (locks, buddy refills, magazine
@@ -9,7 +9,7 @@
 // degenerates to "pop a pfn from a lock-free SPSC ring"; everything
 // slow happens here, in the background.
 //
-// Multi-core sharding (section 17): the engine runs one allocator
+// Multi-core sharding (section 16): the engine runs one allocator
 // *worker* per online NUMA node (`offload.workers` -- 0 = auto, 1 =
 // the legacy single worker, N caps the pool with nodes distributed
 // round-robin). Each worker services only the tasks homed on its

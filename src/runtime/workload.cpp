@@ -462,15 +462,6 @@ RunResult WorkloadRunner::run(const WorkloadSpec& spec, core::Policy policy,
   res.frames_poisoned = ks.frames_poisoned;
   res.pages_migrated = ks.pages_migrated;
   res.colors_retired = ks.colors_retired;
-  res.magazine_hits = ks.magazine_hits;
-  res.magazine_misses = ks.magazine_misses;
-  res.magazine_drains = ks.magazine_drains;
-  res.batch_refills = ks.batch_refills;
-  res.ring_alloc_hits = ks.ring_alloc_hits;
-  res.ring_full_stalls = ks.ring_full_stalls;
-  res.prefault_pages = ks.prefault_pages;
-  res.batches_drained = ks.batches_drained;
-  res.recolor_calls = ks.recolor_calls;
   return res;
 }
 

@@ -209,21 +209,6 @@ struct RunResult {
   uint64_t frames_poisoned = 0;
   uint64_t pages_migrated = 0;
   uint64_t colors_retired = 0;
-  // Fast-path cache behaviour (all zero unless the kernel's page
-  // magazines / batched refill were on).
-  uint64_t magazine_hits = 0;
-  uint64_t magazine_misses = 0;
-  uint64_t magazine_drains = 0;
-  uint64_t batch_refills = 0;
-  // Allocation offload engine behaviour (all zero unless offload.enabled
-  // and an OffloadEngine serviced the run's tasks).
-  uint64_t ring_alloc_hits = 0;   // colored allocs served by a ring pop
-  uint64_t ring_full_stalls = 0;  // frees that found the request ring full
-  uint64_t prefault_pages = 0;    // frames the engine stocked ahead
-  uint64_t batches_drained = 0;   // service rounds that moved frames
-  // Live re-coloring swaps applied during the run (Kernel::recolor_task;
-  // non-zero only when a ColorGuard or advisor healed mid-run).
-  uint64_t recolor_calls = 0;
 };
 
 // Executes one benchmark run: fresh machine, `cores[i]` hosts thread i,

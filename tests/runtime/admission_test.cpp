@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "hw/pci_config.h"
@@ -129,19 +128,6 @@ TEST_F(AdmissionTest, BurstableTakesPartialGrantThenDowngrades) {
 
   const SloReport rep = adm.report();
   EXPECT_EQ(rep.cls[unsigned(TenantClass::kBurstable)].downgraded_away, 1u);
-}
-
-TEST_F(AdmissionTest, DowngradeDisabledMeansHardReject) {
-  os::Kernel k = make_kernel();
-  AdmissionConfig cfg;
-  cfg.allow_downgrade = false;
-  AdmissionController adm(k, memsys_, cfg);
-
-  for (int i = 0; i < 4; ++i)
-    ASSERT_TRUE(adm.admit(TenantClass::kGuaranteed).admitted);
-  const AdmissionTicket b = adm.admit(TenantClass::kBurstable);
-  EXPECT_FALSE(b.admitted);
-  EXPECT_STREQ(b.reason, "bank colors exhausted");
 }
 
 TEST_F(AdmissionTest, BestEffortRunsUncoloredAndNeedsOnlyAnOnlineNode) {
@@ -294,247 +280,6 @@ TEST_F(AdmissionTest, GuardPrioritiesFollowGrantedClass) {
   // Teardown resets the slot: the TaskId's next owner starts unshielded.
   adm.teardown(g.task);
   EXPECT_EQ(guard.tenant_priority(g.task), 0u);
-}
-
-// --- deadline-aware waitlist ---
-
-TEST_F(AdmissionTest, WaitlistParksARejectUntilTeardownFreesThePalette) {
-  os::Kernel k = make_kernel();
-  AdmissionConfig cfg;
-  cfg.waitlist = true;
-  AdmissionController adm(k, memsys_, cfg);
-
-  std::vector<AdmissionTicket> tenants;
-  for (int i = 0; i < 4; ++i) {
-    const AdmissionTicket t = adm.admit(TenantClass::kGuaranteed);
-    ASSERT_TRUE(t.admitted);
-    tenants.push_back(t);
-  }
-  // The palette is dry: the fifth arrival parks instead of bouncing.
-  const AdmissionTicket fifth = adm.admit(TenantClass::kGuaranteed);
-  EXPECT_FALSE(fifth.admitted);
-  ASSERT_TRUE(fifth.waitlisted);
-  EXPECT_NE(fifth.wait_id, 0u);
-  EXPECT_STREQ(fifth.reason, "waitlisted");
-  EXPECT_EQ(adm.waitlist_depth(), 1u);
-  EXPECT_EQ(adm.claim(fifth.wait_id).state,
-            AdmissionController::WaitOutcome::State::kPending);
-
-  // A departure frees a full guaranteed palette: the teardown itself
-  // retries the waitlist, so by the next poll the arrival is live.
-  ASSERT_TRUE(adm.teardown(tenants[0].task).known);
-  const AdmissionController::WaitOutcome w = adm.claim(fifth.wait_id);
-  ASSERT_EQ(w.state, AdmissionController::WaitOutcome::State::kReady);
-  EXPECT_TRUE(w.ticket.admitted);
-  EXPECT_EQ(w.ticket.granted, TenantClass::kGuaranteed);
-  EXPECT_EQ(w.ticket.banks.size(), 4u);
-  EXPECT_EQ(w.ticket.wait_id, fifth.wait_id);
-  EXPECT_EQ(adm.live_tenants(), 4u);
-  // The handover is exactly-once.
-  EXPECT_EQ(adm.claim(fifth.wait_id).state,
-            AdmissionController::WaitOutcome::State::kGone);
-
-  const SloReport rep = adm.report();
-  const ClassSlo& slo = rep.cls[unsigned(TenantClass::kGuaranteed)];
-  EXPECT_EQ(slo.waitlisted, 1u);
-  EXPECT_EQ(slo.admitted_from_waitlist, 1u);
-  EXPECT_EQ(slo.deadline_missed, 0u);
-  const auto st = adm.stats().snapshot();
-  EXPECT_EQ(st.waitlist_enqueued, 1u);
-  EXPECT_EQ(st.waitlist_admitted, 1u);
-}
-
-TEST_F(AdmissionTest, WaitlistRetriesInDeadlineOrderNotArrivalOrder) {
-  os::Kernel k = make_kernel();
-  AdmissionConfig cfg;
-  cfg.waitlist = true;
-  AdmissionController adm(k, memsys_, cfg);
-
-  std::vector<AdmissionTicket> tenants;
-  for (int i = 0; i < 4; ++i)
-    tenants.push_back(adm.admit(TenantClass::kGuaranteed));
-  // Two parked arrivals; the *later* one is more urgent (EDF).
-  const AdmissionTicket lax = adm.admit(TenantClass::kGuaranteed, 1000);
-  const AdmissionTicket urgent = adm.admit(TenantClass::kGuaranteed, 10);
-  ASSERT_TRUE(lax.waitlisted);
-  ASSERT_TRUE(urgent.waitlisted);
-
-  // One palette frees: it must go to the earlier deadline.
-  adm.teardown(tenants[0].task);
-  EXPECT_EQ(adm.claim(urgent.wait_id).state,
-            AdmissionController::WaitOutcome::State::kReady);
-  EXPECT_EQ(adm.claim(lax.wait_id).state,
-            AdmissionController::WaitOutcome::State::kPending);
-}
-
-TEST_F(AdmissionTest, WaitlistDeadlineExpiryIsAMissAndAReject) {
-  os::Kernel k = make_kernel();
-  AdmissionConfig cfg;
-  cfg.waitlist = true;
-  AdmissionController adm(k, memsys_, cfg);
-
-  for (int i = 0; i < 4; ++i)
-    ASSERT_TRUE(adm.admit(TenantClass::kGuaranteed).admitted);
-  const AdmissionTicket t = adm.admit(TenantClass::kGuaranteed, 2);
-  ASSERT_TRUE(t.waitlisted);
-
-  // The logical clock ticks once per admit/teardown/observe; three
-  // observes push it past the two-tick deadline with no palette free.
-  for (int i = 0; i < 3; ++i) adm.observe();
-  EXPECT_EQ(adm.claim(t.wait_id).state,
-            AdmissionController::WaitOutcome::State::kGone);
-  EXPECT_EQ(adm.waitlist_depth(), 0u);
-
-  const ClassSlo& slo = adm.report().cls[unsigned(TenantClass::kGuaranteed)];
-  EXPECT_EQ(slo.deadline_missed, 1u);
-  EXPECT_EQ(slo.rejected, 1u);  // a miss is a reject, just deferred
-  EXPECT_EQ(adm.stats().snapshot().waitlist_expired, 1u);
-}
-
-TEST_F(AdmissionTest, CancelWaitDropsPendingAndTearsDownReadyOrphans) {
-  os::Kernel k = make_kernel();
-  AdmissionConfig cfg;
-  cfg.waitlist = true;
-  AdmissionController adm(k, memsys_, cfg);
-
-  std::vector<AdmissionTicket> tenants;
-  for (int i = 0; i < 4; ++i)
-    tenants.push_back(adm.admit(TenantClass::kGuaranteed));
-
-  // Cancel while still pending: the entry just disappears.
-  const AdmissionTicket a = adm.admit(TenantClass::kGuaranteed);
-  ASSERT_TRUE(a.waitlisted);
-  EXPECT_TRUE(adm.cancel_wait(a.wait_id));
-  EXPECT_FALSE(adm.cancel_wait(a.wait_id));  // idempotent
-  EXPECT_EQ(adm.claim(a.wait_id).state,
-            AdmissionController::WaitOutcome::State::kGone);
-
-  // Cancel after the retry admitted it but before anyone claimed: the
-  // orphan tenant is torn down, not leaked.
-  const AdmissionTicket b = adm.admit(TenantClass::kGuaranteed);
-  ASSERT_TRUE(b.waitlisted);
-  adm.teardown(tenants[0].task);  // b is now live in ready_, unclaimed
-  EXPECT_EQ(adm.live_tenants(), 4u);
-  EXPECT_TRUE(adm.cancel_wait(b.wait_id));
-  EXPECT_EQ(adm.live_tenants(), 3u);
-  // Both cancels count: the pending drop and the ready-orphan teardown.
-  EXPECT_EQ(adm.stats().snapshot().waitlist_cancelled, 2u);
-
-  const auto inv = k.check_invariants(0, /*stop_the_world=*/true);
-  EXPECT_TRUE(inv.ok) << inv.detail;
-}
-
-// --- pressure-driven elastic shrink ---
-
-TEST_F(AdmissionTest, ElasticShrinkFreesALowerClassPaletteForAGuaranteedAdmit) {
-  os::Kernel k = make_kernel();
-  ColorGuard guard(k, memsys_, [] {
-    GuardConfig g;
-    g.enabled = true;
-    g.min_epoch_accesses = ~0ull;
-    return g;
-  }());
-  AdmissionConfig cfg;
-  cfg.elastic_shrink = true;
-  cfg.burstable = {8, 2};  // two burstables swallow all 16 banks
-  AdmissionController adm(k, memsys_, cfg);
-  adm.bind_guard(&guard);
-
-  const AdmissionTicket b0 = adm.admit(TenantClass::kBurstable);
-  const AdmissionTicket b1 = adm.admit(TenantClass::kBurstable);
-  ASSERT_TRUE(b0.admitted && b1.admitted);
-  ASSERT_EQ(b0.banks.size() + b1.banks.size(), 16u);
-
-  // A guaranteed arrival finds zero free banks -- but a lower-class
-  // tenant has spare colors above the floor, so the admit shrinks it
-  // (immediate swap) and retries rather than bouncing.
-  const AdmissionTicket g = adm.admit(TenantClass::kGuaranteed);
-  ASSERT_TRUE(g.admitted) << g.reason;
-  EXPECT_FALSE(g.downgraded);
-  EXPECT_EQ(g.granted, TenantClass::kGuaranteed);
-  EXPECT_EQ(g.banks.size(), 4u);
-
-  const auto st = adm.stats().snapshot();
-  EXPECT_EQ(st.shrink_requests, 1u);
-  EXPECT_EQ(st.shrink_banks_freed, 4u);
-  EXPECT_EQ(guard.stats().snapshot().shrinks_started, 1u);
-  // The victim kept the floor and then some: 8 - 4 = 4 banks.
-  const os::TaskId victim =
-      k.task(b0.task).mem_color_list().size() == 4 ? b0.task : b1.task;
-  EXPECT_EQ(k.task(victim).mem_color_list().size(), 4u);
-
-  guard.run_epoch();  // drain the (empty) migration, close the shrink
-  EXPECT_EQ(guard.stats().snapshot().shrinks_completed, 1u);
-  const auto rep = k.check_invariants();
-  EXPECT_TRUE(rep.ok) << rep.detail;
-}
-
-TEST_F(AdmissionTest, PriorityShieldNeverShrinksAnEqualOrHigherClass) {
-  os::Kernel k = make_kernel();
-  ColorGuard guard(k, memsys_, [] {
-    GuardConfig g;
-    g.enabled = true;
-    g.min_epoch_accesses = ~0ull;
-    return g;
-  }());
-  AdmissionConfig cfg;
-  cfg.elastic_shrink = true;
-  AdmissionController adm(k, memsys_, cfg);
-  adm.bind_guard(&guard);
-
-  for (int i = 0; i < 4; ++i)
-    ASSERT_TRUE(adm.admit(TenantClass::kGuaranteed).admitted);
-
-  // Guaranteed vs guaranteed: equal class, shielded -- hard reject, no
-  // shrink attempted.
-  const AdmissionTicket g = adm.admit(TenantClass::kGuaranteed);
-  EXPECT_FALSE(g.admitted);
-  EXPECT_STREQ(g.reason, "bank colors exhausted");
-  // Burstable vs guaranteed: higher class holds the palette -- the
-  // burstable downgrades (default policy) instead of robbing it.
-  const AdmissionTicket b = adm.admit(TenantClass::kBurstable);
-  ASSERT_TRUE(b.admitted);
-  EXPECT_TRUE(b.downgraded);
-  EXPECT_EQ(adm.stats().snapshot().shrink_requests, 0u);
-  EXPECT_EQ(guard.stats().snapshot().shrinks_started, 0u);
-}
-
-// --- burstable re-promotion ---
-
-TEST_F(AdmissionTest, PromotionRestoresAFullBurstableGrantWhenPaletteFrees) {
-  os::Kernel k = make_kernel();
-  AdmissionConfig cfg;
-  cfg.promote_downgraded = true;
-  AdmissionController adm(k, memsys_, cfg);
-
-  std::vector<AdmissionTicket> tenants;
-  for (int i = 0; i < 4; ++i)
-    tenants.push_back(adm.admit(TenantClass::kGuaranteed));
-  const AdmissionTicket b = adm.admit(TenantClass::kBurstable);
-  ASSERT_TRUE(b.admitted);
-  ASSERT_TRUE(b.downgraded);
-  ASSERT_TRUE(k.task(b.task).mem_color_list().empty());
-
-  // Space opens on the node the burstable already runs on (promotion
-  // never moves a tenant cross-node): the next lifecycle event
-  // re-promotes it to the full grant, all-or-nothing.
-  const auto victim = std::find_if(
-      tenants.begin(), tenants.end(),
-      [&](const AdmissionTicket& t) { return t.node == b.node; });
-  ASSERT_NE(victim, tenants.end());
-  ASSERT_TRUE(adm.teardown(victim->task).known);
-  EXPECT_EQ(k.task(b.task).mem_color_list().size(), 2u);
-  EXPECT_EQ(k.task(b.task).llc_color_list().size(), 1u);
-  const ClassSlo& slo = adm.report().cls[unsigned(TenantClass::kBurstable)];
-  EXPECT_EQ(slo.promoted, 1u);
-  EXPECT_EQ(adm.stats().snapshot().promotions, 1u);
-
-  // The promotion is visible to a teardown audit: the grant comes back.
-  const auto rep = adm.teardown(b.task);
-  ASSERT_TRUE(rep.known);
-  EXPECT_EQ(rep.reap.colors_cleared, 3u);  // 2 banks + 1 llc
-  const auto inv = k.check_invariants(0, /*stop_the_world=*/true);
-  EXPECT_TRUE(inv.ok) << inv.detail;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit tests for the ColorGuard watchdog (runtime/color_guard.h):
 // detector hysteresis, the manual heal path, migration budgets, backoff
 // and rollback after hard failures, pressure suppression, the collision
-// rules (>= 2 live holders, victim by policy: measured-cheapest with
-// priority shielding, or legacy newest), and the stale-tenant hardening
+// rules (>= 2 live holders, the measured-cheapest victim with priority
+// shielding and a newest-first tie-break), and the stale-tenant hardening
 // (a holder that exits between sample and heal is skipped, an in-flight
 // heal of an exiting tenant is cancelled). Everything here drives
 // run_epoch() by hand for determinism; the background-thread mode is
@@ -385,15 +385,18 @@ TEST_F(ColorGuardTest, AutoHealMovesTheNewestHolderOfACollision) {
   os::Kernel k = make_kernel();
   GuardConfig cfg;
   cfg.enabled = true;
-  cfg.victim_policy = VictimPolicy::kNewest;  // legacy PR-5 behaviour
   ColorGuard guard(k, memsys_, cfg);
 
   const unsigned c0 = map_.make_bank_color(0, 0);
-  const os::TaskId first = k.create_task(0);  // was promised the layout
-  const os::TaskId second = k.create_task(1);  // arrived later: moves
+  // Equal priority, equal resident pages, and both pinned to cores that
+  // send no DRAM traffic (heat_bank() drives core 0): the measured costs
+  // tie, so the tie-break decides -- the newest holder moves and the
+  // earlier tenant keeps the layout it was promised.
+  const os::TaskId first = k.create_task(1);
+  const os::TaskId second = k.create_task(2);
   claim(k, first, c0);
   claim(k, second, c0);
-  touch_pages(k, first, 2);
+  touch_pages(k, first, 3);
   touch_pages(k, second, 3);
 
   heat_bank(c0, 200, 0);
@@ -403,7 +406,7 @@ TEST_F(ColorGuardTest, AutoHealMovesTheNewestHolderOfACollision) {
   EXPECT_EQ(gs.heals_started, 1u);
   EXPECT_TRUE(k.task(first).has_mem_color(c0));
   EXPECT_FALSE(k.task(second).has_mem_color(c0));
-  EXPECT_EQ(k.pages_of_task_color(first, c0).size(), 2u);
+  EXPECT_EQ(k.pages_of_task_color(first, c0).size(), 3u);
   EXPECT_EQ(gs.pages_recolored, 3u);  // only the newcomer's pages moved
   const auto rep = k.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.detail;
@@ -412,15 +415,15 @@ TEST_F(ColorGuardTest, AutoHealMovesTheNewestHolderOfACollision) {
 TEST_F(ColorGuardTest, CheapestPolicyMovesTheLowTrafficHolderNotTheNewest) {
   os::Kernel k = make_kernel();
   GuardConfig cfg;
-  cfg.enabled = true;  // victim_policy defaults to kCheapest
+  cfg.enabled = true;
   ColorGuard guard(k, memsys_, cfg);
 
   const unsigned c0 = map_.make_bank_color(0, 0);
   // The *older* tenant is the cheap one: 2 resident pages, pinned to
   // core 1 which sends no DRAM traffic this epoch. The newer tenant has
   // more resident pages AND sits on core 0, where heat_bank() drives
-  // the storm -- under the legacy policy it would move; under kCheapest
-  // the measured counters say the older tenant is the cheaper eviction.
+  // the storm -- the newest-first tie-break alone would move it, but the
+  // measured counters say the older tenant is the cheaper eviction.
   const os::TaskId cheap = k.create_task(1);
   const os::TaskId expensive = k.create_task(0);
   claim(k, cheap, c0);
@@ -610,163 +613,6 @@ TEST_F(ColorGuardTest, FailedLlcHealRollsBackToTheOriginalSlice) {
   EXPECT_FALSE(k.task(t).has_llc_color(l1));
   EXPECT_EQ(k.pages_of_task_llc_color(t, l0).size(), 3u);
   EXPECT_EQ(guard.tenant_phase(t), ColorGuard::TenantPhase::kCooldown);
-  const auto rep = k.check_invariants();
-  EXPECT_TRUE(rep.ok) << rep.detail;
-}
-
-// --- elastic shrink ---
-
-TEST_F(ColorGuardTest, ShrinkFreesColdestColorsImmediatelyThenMigrates) {
-  os::Kernel k = make_kernel();
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.min_epoch_accesses = ~0ull;
-  ColorGuard guard(k, memsys_, cfg);
-
-  const os::TaskId t = k.create_task(0);
-  const unsigned c0 = map_.make_bank_color(0, 0);
-  const unsigned c1 = map_.make_bank_color(0, 1);
-  const unsigned c2 = map_.make_bank_color(0, 2);
-  claim(k, t, c0);
-  claim(k, t, c1);
-  claim(k, t, c2);
-  touch_pages(k, t, 6);
-  const size_t before = k.pages_of_task_color(t, c0).size() +
-                        k.pages_of_task_color(t, c1).size() +
-                        k.pages_of_task_color(t, c2).size();
-  EXPECT_EQ(before, 6u);
-
-  // Drop two of three: the swap publishes instantly -- the freed colors
-  // are grantable before a single page has moved.
-  EXPECT_EQ(guard.start_shrink(t, 2, 1), 2u);
-  const auto held = k.task(t).mem_color_list();
-  ASSERT_EQ(held.size(), 1u);
-  const unsigned survivor = held[0];
-  auto gs = guard.stats().snapshot();
-  EXPECT_EQ(gs.shrinks_started, 1u);
-  EXPECT_EQ(gs.shrink_colors_dropped, 2u);
-  EXPECT_EQ(guard.tenant_phase(t), ColorGuard::TenantPhase::kMigrating);
-
-  // A tenant mid-shrink can start nothing else.
-  EXPECT_EQ(guard.start_shrink(t, 1, 1), 0u);
-  EXPECT_FALSE(guard.start_heal(t, survivor));
-
-  guard.run_epoch();  // all dropped-color pages dribble to the survivor
-  gs = guard.stats().snapshot();
-  EXPECT_EQ(gs.shrinks_completed, 1u);
-  EXPECT_EQ(k.pages_of_task_color(t, survivor).size(), 6u);
-  for (const unsigned c : {c0, c1, c2}) {
-    if (c != survivor) {
-      EXPECT_TRUE(k.pages_of_task_color(t, c).empty());
-    }
-  }
-  const auto rep = k.check_invariants();
-  EXPECT_TRUE(rep.ok) << rep.detail;
-}
-
-TEST_F(ColorGuardTest, ShrinkNeverDropsBelowTheFloor) {
-  os::Kernel k = make_kernel();
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.min_epoch_accesses = ~0ull;
-  ColorGuard guard(k, memsys_, cfg);
-
-  const os::TaskId t = k.create_task(0);
-  claim(k, t, map_.make_bank_color(0, 0));
-  claim(k, t, map_.make_bank_color(0, 1));
-  touch_pages(k, t, 2);
-
-  // Already at a floor of two colors: refused outright.
-  EXPECT_EQ(guard.start_shrink(t, 5, 2), 0u);
-  EXPECT_EQ(k.task(t).mem_color_list().size(), 2u);
-  // An oversized request is clamped to the floor, not refused.
-  EXPECT_EQ(guard.start_shrink(t, 5, 1), 1u);
-  EXPECT_EQ(k.task(t).mem_color_list().size(), 1u);
-  // A dead task is refused and counted, never dereferenced.
-  const os::TaskId ghost = k.create_task(1);
-  k.reap_task(ghost);
-  EXPECT_EQ(guard.start_shrink(ghost, 1, 1), 0u);
-  EXPECT_GE(guard.stats().snapshot().stale_tenant_skips, 1u);
-}
-
-TEST_F(ColorGuardTest, FailedShrinkRollsBackAndReclaimsDroppedColors) {
-  os::Kernel k = make_kernel();
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.min_epoch_accesses = ~0ull;
-  cfg.max_heal_failures = 1;
-  cfg.backoff_base_epochs = 1;
-  cfg.cooldown_epochs = 2;
-  ColorGuard guard(k, memsys_, cfg);
-
-  const os::TaskId t = k.create_task(0);
-  const unsigned c0 = map_.make_bank_color(0, 0);
-  const unsigned c1 = map_.make_bank_color(0, 1);
-  claim(k, t, c0);
-  claim(k, t, c1);
-  touch_pages(k, t, 4);
-  ASSERT_EQ(guard.start_shrink(t, 1, 1), 1u);
-  ASSERT_EQ(k.task(t).mem_color_list().size(), 1u);
-
-  // Migration can never land: the tenant burns its allowance and the
-  // rollback re-adds the dropped color (nobody claimed it meanwhile).
-  k.failpoints().arm(os::FailPoint::kMigrateTarget, os::FailSpec::always());
-  guard.run_epoch();  // fails -> backoff
-  guard.run_epoch();  // gated
-  guard.run_epoch();  // retry fails -> rollback
-  k.failpoints().disarm(os::FailPoint::kMigrateTarget);
-
-  const auto gs = guard.stats().snapshot();
-  EXPECT_EQ(gs.shrink_rollbacks, 1u);
-  EXPECT_EQ(gs.shrink_colors_lost, 0u);
-  EXPECT_EQ(k.task(t).mem_color_list().size(), 2u);
-  EXPECT_TRUE(k.task(t).has_mem_color(c0));
-  EXPECT_TRUE(k.task(t).has_mem_color(c1));
-  // Doubled cooldown, like a heal rollback.
-  EXPECT_EQ(guard.tenant_phase(t), ColorGuard::TenantPhase::kCooldown);
-  const auto rep = k.check_invariants();
-  EXPECT_TRUE(rep.ok) << rep.detail;
-}
-
-TEST_F(ColorGuardTest, ShrinkRollbackCountsColorsGrantedAwayAsLost) {
-  os::Kernel k = make_kernel();
-  GuardConfig cfg;
-  cfg.enabled = true;
-  cfg.min_epoch_accesses = ~0ull;
-  cfg.max_heal_failures = 1;
-  cfg.backoff_base_epochs = 1;
-  ColorGuard guard(k, memsys_, cfg);
-
-  const os::TaskId t = k.create_task(0);
-  const unsigned c0 = map_.make_bank_color(0, 0);
-  const unsigned c1 = map_.make_bank_color(0, 1);
-  claim(k, t, c0);
-  claim(k, t, c1);
-  touch_pages(k, t, 4);
-  ASSERT_EQ(guard.start_shrink(t, 1, 1), 1u);
-  const auto held = k.task(t).mem_color_list();
-  ASSERT_EQ(held.size(), 1u);
-  const unsigned dropped = held[0] == c0 ? c1 : c0;
-
-  // The point of the shrink: the freed color is grantable *now*. A new
-  // tenant takes it before the migration gives up.
-  const os::TaskId newcomer = k.create_task(1);
-  claim(k, newcomer, dropped);
-
-  k.failpoints().arm(os::FailPoint::kMigrateTarget, os::FailSpec::always());
-  guard.run_epoch();
-  guard.run_epoch();
-  guard.run_epoch();
-  k.failpoints().disarm(os::FailPoint::kMigrateTarget);
-
-  // The rollback must NOT steal the color back: the newcomer keeps it,
-  // the shrunk tenant stays smaller, the loss is counted.
-  const auto gs = guard.stats().snapshot();
-  EXPECT_EQ(gs.shrink_rollbacks, 1u);
-  EXPECT_EQ(gs.shrink_colors_lost, 1u);
-  EXPECT_EQ(k.task(t).mem_color_list().size(), 1u);
-  EXPECT_FALSE(k.task(t).has_mem_color(dropped));
-  EXPECT_TRUE(k.task(newcomer).has_mem_color(dropped));
   const auto rep = k.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.detail;
 }

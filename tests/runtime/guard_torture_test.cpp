@@ -151,15 +151,17 @@ TEST(GuardTortureTest, RecolorStormVsFaultsStwAndHotplug) {
   EXPECT_TRUE(rep.ok) << rep.detail;
 }
 
-// Shrink storm through the full elastic stack: workers churn tenants
-// through an AdmissionController with every elastic on (shrink-on-
-// admit, deadline waitlist, promotion) while a shrinker thread fires
-// guard.start_shrink at *arbitrary* TaskIds -- live, dead and never-
-// allocated alike -- and the background watchdog advances the page
-// dribbles. A dedicated reader thread hammers the lock-free stats
-// snapshots the whole time and asserts per-counter monotonicity: under
-// TSan this is the torn-read audit for GuardStats and AdmissionStats.
-TEST(GuardTortureTest, ShrinkStormKeepsSnapshotsMonotonicAndFramesExact) {
+// Heal storm through the admission stack: workers churn tenants
+// through an AdmissionController (class grants, downgrades, rejects and
+// crash-consistent teardown) while a healer thread fires
+// guard.start_heal on both color axes -- at the tenants the workers
+// currently hold (which may be torn down mid-heal) and at *arbitrary*
+// TaskIds, live, dead and never-allocated alike -- and the background
+// watchdog advances the page dribbles. A dedicated reader thread
+// hammers the lock-free stats snapshots the whole time and asserts
+// per-counter monotonicity: under TSan this is the torn-read audit for
+// GuardStats and AdmissionStats.
+TEST(GuardTortureTest, HealStormKeepsSnapshotsMonotonicAndFramesExact) {
   const hw::Topology topo = hw::Topology::tiny();
   const hw::PciConfig pci = hw::PciConfig::program_bios(topo);
   const hw::AddressMapping map(pci, topo);
@@ -168,22 +170,20 @@ TEST(GuardTortureTest, ShrinkStormKeepsSnapshotsMonotonicAndFramesExact) {
 
   GuardConfig gcfg;
   gcfg.enabled = true;
-  gcfg.min_epoch_accesses = ~0ull;  // no detector: every op is forced
+  gcfg.min_epoch_accesses = ~0ull;  // no detector: every heal is forced
   gcfg.migration_budget = 64;
   gcfg.cooldown_epochs = 1;
   ColorGuard guard(k, memsys, gcfg);
 
-  AdmissionConfig acfg;
-  acfg.elastic_shrink = true;
-  acfg.waitlist = true;
-  acfg.waitlist_deadline_ticks = 6;
-  acfg.promote_downgraded = true;
-  AdmissionController adm(k, memsys, acfg);
+  AdmissionController adm(k, memsys);
   adm.bind_guard(&guard);
 
   guard.start(std::chrono::milliseconds(1));
   const uint64_t page = topo.page_bytes();
   std::atomic<bool> stop{false};
+  // The tenant each worker currently holds, for the healer to aim at.
+  std::atomic<os::TaskId> held[kWorkers];
+  for (auto& h : held) h.store(os::kNoTask, std::memory_order_relaxed);
   std::vector<std::thread> threads;
 
   for (unsigned ti = 0; ti < kWorkers; ++ti) {
@@ -194,47 +194,49 @@ TEST(GuardTortureTest, ShrinkStormKeepsSnapshotsMonotonicAndFramesExact) {
         const TenantClass cls = draw < 0.4 ? TenantClass::kGuaranteed
                                 : draw < 0.7 ? TenantClass::kBurstable
                                              : TenantClass::kBestEffort;
-        AdmissionTicket t = adm.admit(cls, 4);
-        if (t.waitlisted) {
-          // Poll a few times; whatever has not landed is abandoned --
-          // cancel_wait must clean up pending *and* ready states.
-          bool claimed = false;
-          for (unsigned poll = 0; poll < 4 && !claimed; ++poll) {
-            const auto w = adm.claim(t.wait_id);
-            if (w.state == AdmissionController::WaitOutcome::State::kReady) {
-              t = w.ticket;
-              claimed = true;
-            } else if (w.state ==
-                       AdmissionController::WaitOutcome::State::kGone) {
-              break;
-            } else {
-              adm.observe();  // drive retries + expiries forward
-              std::this_thread::yield();
-            }
-          }
-          if (!claimed) {
-            adm.cancel_wait(t.wait_id);
-            continue;
-          }
-        }
+        const AdmissionTicket t = adm.admit(cls);
         if (!t.admitted) continue;
+        held[ti].store(t.task, std::memory_order_relaxed);
         const uint64_t pages = 2 + rng.next_below(6);
         const os::VirtAddr base = k.mmap(t.task, 0, pages * page, 0);
         if (base != os::kMmapFailed) {
-          for (uint64_t p = 0; p < pages; ++p)
-            k.touch(t.task, base + p * page, rng.next_bool(0.5));
+          // Several rounds, so heals land while the tenant is live and
+          // its faults race the heal's migrations.
+          for (unsigned round = 0; round < 4; ++round) {
+            for (uint64_t p = 0; p < pages; ++p)
+              k.touch(t.task, base + p * page, rng.next_bool(0.5));
+            std::this_thread::yield();
+          }
         }
         if (rng.next_bool(0.25)) adm.observe();
         EXPECT_TRUE(adm.teardown(t.task).known);
       }
     });
   }
-  threads.emplace_back([&] {  // shrinker: arbitrary TaskIds, no courtesy
+  threads.emplace_back([&] {  // healer: arbitrary TaskIds, no courtesy
     Rng rng(171);
     while (!stop.load(std::memory_order_acquire)) {
-      const os::TaskId t = static_cast<os::TaskId>(
-          rng.next_below(std::max<uint64_t>(1, k.num_tasks() + 2)));
-      guard.start_shrink(t, 1 + rng.next_below(3), 1);
+      os::TaskId t = held[rng.next_below(kWorkers)].load(
+          std::memory_order_relaxed);
+      if (t == os::kNoTask || rng.next_bool(0.25))
+        t = static_cast<os::TaskId>(
+            rng.next_below(std::max<uint64_t>(1, k.num_tasks() + 2)));
+      const bool llc = rng.next_bool(0.5);
+      // A color the tenant holds when it has one (so heals really
+      // start), otherwise any color of the axis (refused).
+      unsigned color = static_cast<unsigned>(rng.next_below(
+          llc ? map.num_llc_colors() : map.num_bank_colors()));
+      if (t < k.num_tasks()) {
+        if (llc) {
+          const auto held = k.task(t).llc_color_list();
+          if (!held.empty()) color = held[rng.next_below(held.size())];
+        } else {
+          const auto held = k.task(t).mem_color_list();
+          if (!held.empty()) color = held[rng.next_below(held.size())];
+        }
+      }
+      guard.start_heal(t, color,
+                       llc ? core::ColorDim::kLlc : core::ColorDim::kBank);
       guard.tenant_phase(t);  // concurrent observer
       std::this_thread::yield();
     }
@@ -246,23 +248,23 @@ TEST(GuardTortureTest, ShrinkStormKeepsSnapshotsMonotonicAndFramesExact) {
       const GuardStats::Snapshot g1 = guard.stats().snapshot();
       const AdmissionStats::Snapshot a1 = adm.stats().snapshot();
       EXPECT_GE(g1.epochs_run, g0.epochs_run);
+      EXPECT_GE(g1.guard_suppressed_epochs, g0.guard_suppressed_epochs);
+      EXPECT_GE(g1.hot_colors_detected, g0.hot_colors_detected);
       EXPECT_GE(g1.heals_started, g0.heals_started);
-      EXPECT_GE(g1.shrinks_started, g0.shrinks_started);
-      EXPECT_GE(g1.shrinks_completed, g0.shrinks_completed);
-      EXPECT_GE(g1.shrink_colors_dropped, g0.shrink_colors_dropped);
-      EXPECT_GE(g1.shrink_rollbacks, g0.shrink_rollbacks);
-      EXPECT_GE(g1.stale_tenant_skips, g0.stale_tenant_skips);
+      EXPECT_GE(g1.heals_completed, g0.heals_completed);
       EXPECT_GE(g1.pages_recolored, g0.pages_recolored);
+      EXPECT_GE(g1.migrations_failed, g0.migrations_failed);
+      EXPECT_GE(g1.migration_retries, g0.migration_retries);
+      EXPECT_GE(g1.rollbacks, g0.rollbacks);
+      EXPECT_GE(g1.rollback_pages, g0.rollback_pages);
+      EXPECT_GE(g1.cooldown_skips, g0.cooldown_skips);
+      EXPECT_GE(g1.stale_tenant_skips, g0.stale_tenant_skips);
+      EXPECT_GE(g1.llc_hot_colors_detected, g0.llc_hot_colors_detected);
+      EXPECT_GE(g1.llc_heals_started, g0.llc_heals_started);
+      EXPECT_GE(g1.llc_heals_completed, g0.llc_heals_completed);
       EXPECT_GE(a1.admits, a0.admits);
       EXPECT_GE(a1.rejects, a0.rejects);
       EXPECT_GE(a1.downgrades, a0.downgrades);
-      EXPECT_GE(a1.waitlist_enqueued, a0.waitlist_enqueued);
-      EXPECT_GE(a1.waitlist_admitted, a0.waitlist_admitted);
-      EXPECT_GE(a1.waitlist_expired, a0.waitlist_expired);
-      EXPECT_GE(a1.waitlist_cancelled, a0.waitlist_cancelled);
-      EXPECT_GE(a1.promotions, a0.promotions);
-      EXPECT_GE(a1.shrink_requests, a0.shrink_requests);
-      EXPECT_GE(a1.shrink_banks_freed, a0.shrink_banks_freed);
       g0 = g1;
       a0 = a1;
       std::this_thread::yield();
@@ -275,12 +277,12 @@ TEST(GuardTortureTest, ShrinkStormKeepsSnapshotsMonotonicAndFramesExact) {
   threads[kWorkers + 1].join();
   guard.stop();
 
-  // Workers cancelled or tore down everything they admitted; nothing
-  // the elastics touched may leak a frame, page or color claim.
+  // Workers tore down everything they admitted; nothing the heals
+  // touched may leak a frame, page or color claim.
   EXPECT_EQ(adm.live_tenants(), 0u);
   const auto gs = guard.stats().snapshot();
-  EXPECT_GE(gs.shrinks_started,
-            gs.shrinks_completed + gs.shrink_rollbacks);
+  EXPECT_GE(gs.heals_started, gs.heals_completed + gs.rollbacks);
+  EXPECT_GE(gs.llc_heals_started, gs.llc_heals_completed);
   const auto inv = k.check_invariants(0, /*stop_the_world=*/true);
   EXPECT_TRUE(inv.ok) << inv.detail;
   EXPECT_EQ(inv.mapped, 0u);

@@ -1,6 +1,6 @@
 // Unit tests for the ColorGuard's LLC observe path alone (the heal
 // mechanics live in color_guard_test.cpp, the end-to-end collision in
-// integration/elastic_qos_test.cpp): each LLC color's EWMA tracks its
+// integration/recolor_heal_test.cpp): each LLC color's EWMA tracks its
 // *share* of the epoch's cross-requester eviction delta, hot flags pass
 // through the same hysteresis band as banks, sparse epochs decay
 // instead of spiking, a disabled guard only watches, and the hot flags
