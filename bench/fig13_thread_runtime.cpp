@@ -23,8 +23,11 @@ int main(int argc, char** argv) {
 
     Table table(spec.name + " -- per-thread runtime [Mcycles]");
     std::vector<std::string> header = {"policy"};
-    for (unsigned t = 0; t < config.threads(); ++t)
-      header.push_back("t" + std::to_string(t));
+    for (unsigned t = 0; t < config.threads(); ++t) {
+      std::string name = "t";
+      name += std::to_string(t);
+      header.push_back(std::move(name));
+    }
     header.push_back("max/min");
     table.set_header(header);
 

@@ -74,14 +74,6 @@ VirtAddr TintHeap::malloc(uint64_t size) {
   return va;
 }
 
-VirtAddr TintHeap::calloc(uint64_t nmemb, uint64_t size) {
-  if (size != 0 && nmemb > ~uint64_t{0} / size) {
-    std::lock_guard<ArenaLock> lk(arena_);
-    return fail_malloc(os::AllocError::kInvalidArgument);
-  }
-  return malloc(nmemb * size);
-}
-
 VirtAddr TintHeap::carve(uint64_t size) {
   TINT_DASSERT(size <= kernel_.topology().page_bytes() *
                            static_cast<uint64_t>(cfg_.chunk_pages));
@@ -146,85 +138,6 @@ VirtAddr TintHeap::malloc_huge(uint64_t size) {
   return base;
 }
 
-VirtAddr TintHeap::realloc(VirtAddr ptr, uint64_t size) {
-  if (ptr == 0) return malloc(size);
-  if (size == 0) {
-    free(ptr);
-    return 0;
-  }
-  uint64_t old_size = 0;
-  {
-    std::lock_guard<ArenaLock> lk(arena_);
-    const auto it = block_size_.find(ptr);
-    if (it == block_size_.end()) {
-      // Unknown pointer: no-op, report instead of aborting.
-      last_error_ = os::AllocError::kInvalidArgument;
-      ++stats_.invalid_frees;
-      return 0;
-    }
-    old_size = it->second;
-  }
-  if (size <= old_size && class_of(size) == class_of(old_size))
-    return ptr;  // still fits the same block / class
-  const VirtAddr fresh = malloc(size);
-  if (fresh == 0) return 0;  // old block stays valid, like realloc(3)
-  free(ptr);  // data copy is a no-op in the simulator
-  return fresh;
-}
-
-VirtAddr TintHeap::aligned_alloc(uint64_t alignment, uint64_t size) {
-  if (alignment < kAlign || (alignment & (alignment - 1)) != 0) {
-    std::lock_guard<ArenaLock> lk(arena_);
-    return fail_malloc(os::AllocError::kInvalidArgument);
-  }
-  if (alignment <= kAlign) return malloc(size);
-  std::lock_guard<ArenaLock> lk(arena_);
-  // Over-allocate and return the aligned address inside the block; the
-  // bookkeeping keys on the returned pointer.
-  const uint64_t padded = size + alignment;
-  const int cls = class_of(padded);
-  VirtAddr base;
-  if (cls < 0) {
-    base = alloc_large(padded);
-    if (base == 0) return fail_malloc(last_error());
-    block_size_.erase(base);  // re-keyed on the aligned pointer below
-  } else {
-    auto& fl = free_lists_[static_cast<size_t>(cls)];
-    if (!fl.empty()) {
-      base = fl.back();
-      fl.pop_back();
-    } else {
-      base = carve(kClasses[cls]);
-      if (base == 0) return fail_malloc(last_error());
-    }
-    if (cfg_.populate && !populate_range(base, kClasses[cls])) {
-      fl.push_back(base);
-      return fail_malloc(last_error());
-    }
-  }
-  const VirtAddr aligned = (base + alignment - 1) & ~(alignment - 1);
-  // Remember the *block* under the aligned pointer so free() can return
-  // it to the right size class.
-  block_size_.emplace(aligned, cls < 0 ? padded : kClasses[cls]);
-  if (aligned != base) aligned_offset_.emplace(aligned, aligned - base);
-  ++stats_.mallocs;
-  stats_.bytes_requested += size;
-  stats_.bytes_live += size;
-  last_error_ = os::AllocError::kOk;
-  return aligned;
-}
-
-uint64_t TintHeap::usable_size(VirtAddr ptr) const {
-  std::lock_guard<ArenaLock> lk(arena_);
-  const auto it = block_size_.find(ptr);
-  if (it == block_size_.end()) {
-    last_error_ = os::AllocError::kInvalidArgument;
-    return 0;
-  }
-  const auto off = aligned_offset_.find(ptr);
-  return it->second - (off == aligned_offset_.end() ? 0 : off->second);
-}
-
 void TintHeap::free(VirtAddr ptr) {
   if (ptr == 0) return;
   std::lock_guard<ArenaLock> lk(arena_);
@@ -242,22 +155,14 @@ void TintHeap::free(VirtAddr ptr) {
   ++stats_.frees;
   stats_.bytes_live -= std::min(stats_.bytes_live, size);
 
-  // aligned_alloc pointers sit inside their block; recover the base.
-  VirtAddr base = ptr;
-  if (const auto off = aligned_offset_.find(ptr);
-      off != aligned_offset_.end()) {
-    base = ptr - off->second;
-    aligned_offset_.erase(off);
-  }
-
   const int cls = class_of(size);
   if (cls >= 0 && size == kClasses[cls]) {
-    free_lists_[static_cast<size_t>(cls)].push_back(base);
+    free_lists_[static_cast<size_t>(cls)].push_back(ptr);
     return;
   }
   // Large block: find and unmap its VMA, returning frames to the kernel.
   const auto vma = std::find_if(vmas_.begin(), vmas_.end(),
-                                [&](const auto& v) { return v.first == base; });
+                                [&](const auto& v) { return v.first == ptr; });
   TINT_ASSERT_MSG(vma != vmas_.end(), "large free without matching VMA");
   kernel_.munmap(task_, vma->first, vma->second);
   vmas_.erase(vma);
@@ -268,7 +173,6 @@ void TintHeap::release_all() {
   for (const auto& [base, len] : vmas_) kernel_.munmap(task_, base, len);
   vmas_.clear();
   block_size_.clear();
-  aligned_offset_.clear();
   for (auto& fl : free_lists_) fl.clear();
   chunk_cursor_ = chunk_end_ = 0;
   stats_.bytes_live = 0;

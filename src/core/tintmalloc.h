@@ -54,7 +54,7 @@ struct HeapStats {
   uint64_t chunks_reserved = 0;
   uint64_t large_allocs = 0;
   uint64_t failed_mallocs = 0;   // allocations rejected with last_error()
-  uint64_t invalid_frees = 0;    // free/realloc of an unknown pointer
+  uint64_t invalid_frees = 0;    // free of an unknown pointer
 };
 
 // Line-aligned: each heap is one task's, used by that task's thread, so
@@ -70,23 +70,11 @@ class alignas(64) TintHeap {
   // served: bad arguments, or -- with HeapConfig::populate -- the
   // kernel's degradation ladder exhausted.
   VirtAddr malloc(uint64_t size);
-  // malloc + the caller intends to zero it; identical placement-wise
-  // (the simulator carries no data), provided for API fidelity.
-  VirtAddr calloc(uint64_t nmemb, uint64_t size);
-  // Grows/shrinks a block. Returns the (possibly moved) address; the
-  // simulator carries no data, so "copying" is a size-bookkeeping move.
-  // realloc(0, n) == malloc(n); realloc(p, 0) frees and returns 0.
-  VirtAddr realloc(VirtAddr ptr, uint64_t size);
-  // Allocation with alignment (power of two, >= 16).
-  VirtAddr aligned_alloc(uint64_t alignment, uint64_t size);
   // Allocation backed by 2 MB huge pages (extension; see
   // os::MAP_HUGE_2MB). Huge frames cannot be bank/LLC colored but stay
   // node-local; trade color isolation for page-fault and row locality.
   VirtAddr malloc_huge(uint64_t size);
   void free(VirtAddr ptr);
-
-  // Size the allocator reserved for `ptr` (like malloc_usable_size).
-  uint64_t usable_size(VirtAddr ptr) const;
 
   // Releases every mapping this heap created (frames return to their
   // color lists / the buddy allocator).
@@ -105,7 +93,6 @@ class alignas(64) TintHeap {
   TintHeap& operator=(const TintHeap&) = delete;
 
  private:
-  static constexpr uint64_t kAlign = 16;
   // Size classes for sub-page blocks.
   static constexpr uint64_t kClasses[] = {16,  32,  48,  64,   96,   128, 192,
                                           256, 384, 512, 1024, 2048, 4096};
@@ -139,9 +126,6 @@ class alignas(64) TintHeap {
   // has no data memory to put them in. Blocks on free_lists_ have no
   // entry, so a double free is always caught.
   std::unordered_map<VirtAddr, uint64_t> block_size_;
-  // aligned_alloc pointers -> offset from their block base (only when
-  // the offset is non-zero; a zero offset needs no recovery).
-  std::unordered_map<VirtAddr, uint64_t> aligned_offset_;
 };
 
 // Issues the paper's one-line opt-in for one thread: one color-control

@@ -11,8 +11,7 @@
 //
 //   kColored    page from the task's own color_list combos (Algorithm 1)
 //   kWidened    color constraint relaxed, node locality kept: any parked
-//               page on the task's nodes (the in-kernel analogue of
-//               ColorAdvisor's "widen the color set" advice)
+//               page on the task's nodes
 //   kDefault    stock buddy path, preferred node first
 //   kScavenged  stranded colorized pages reclaimed from any online node
 //   kFailed     ladder exhausted; the fault reports kOutOfMemory

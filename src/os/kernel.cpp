@@ -1569,9 +1569,8 @@ bool Kernel::recolor_task(TaskId task_id,
   return true;
 }
 
-std::vector<VirtAddr> Kernel::pages_of_task_color(TaskId task,
-                                                  unsigned bank_color,
-                                                  bool colored_only) const {
+std::vector<VirtAddr> Kernel::pages_of_task_color(TaskId task, unsigned color,
+                                                  ColorDim dim) const {
   std::vector<VirtAddr> out;
   // The page-table lock pins the mapping set; a mapped frame's metadata
   // is stable while we hold it (map/remap/unmap all take it exclusive,
@@ -1579,29 +1578,13 @@ std::vector<VirtAddr> Kernel::pages_of_task_color(TaskId task,
   std::shared_lock pt(pt_lock_);
   for (const auto& [vpn, pfn] : page_table_.mappings()) {
     const PageInfo& pi = pages_[pfn];
-    if (pi.huge) continue;
-    if (pi.owner != task || pi.bank_color != bank_color) continue;
-    if (colored_only && !pi.colored_alloc) continue;
+    if (pi.huge || pi.owner != task || !pi.colored_alloc) continue;
+    const unsigned c = dim == ColorDim::kLlc ? pi.llc_color : pi.bank_color;
+    if (c != color) continue;
     out.push_back(static_cast<VirtAddr>(vpn) << topo_.page_bits);
   }
   // mappings() iterates in hash order; sort so callers migrate in a
   // stable, deterministic sequence.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<VirtAddr> Kernel::pages_of_task_llc_color(TaskId task,
-                                                      unsigned llc_color,
-                                                      bool colored_only) const {
-  std::vector<VirtAddr> out;
-  std::shared_lock pt(pt_lock_);
-  for (const auto& [vpn, pfn] : page_table_.mappings()) {
-    const PageInfo& pi = pages_[pfn];
-    if (pi.huge) continue;
-    if (pi.owner != task || pi.llc_color != llc_color) continue;
-    if (colored_only && !pi.colored_alloc) continue;
-    out.push_back(static_cast<VirtAddr>(vpn) << topo_.page_bits);
-  }
   std::sort(out.begin(), out.end());
   return out;
 }

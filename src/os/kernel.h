@@ -68,6 +68,12 @@ inline constexpr uint64_t SET_MEM_COLOR = 1ULL << kColorOpShift;
 inline constexpr uint64_t CLEAR_MEM_COLOR = 2ULL << kColorOpShift;
 inline constexpr uint64_t SET_LLC_COLOR = 3ULL << kColorOpShift;
 inline constexpr uint64_t CLEAR_LLC_COLOR = 4ULL << kColorOpShift;
+
+// The two color axes a task's placement is constrained on.
+enum class ColorDim : uint8_t {
+  kBank = 0,  // per-node bank colors (Eq. 1)
+  kLlc,       // machine-global LLC colors
+};
 inline constexpr uint64_t kColorMask = (1ULL << 32) - 1;
 
 inline constexpr VirtAddr kMmapFailed = ~0ULL;  // MAP_FAILED
@@ -485,19 +491,13 @@ class Kernel {
                     const std::vector<uint8_t>& drop_llc = {},
                     const std::vector<uint8_t>& add_llc = {});
   // Enumerates the virtual pages of `task` currently backed by frames of
-  // `bank_color` (ascending VA, so callers process them in a stable
-  // order). `colored_only` restricts the walk to frames served by the
-  // colored ladder stage -- the set a re-coloring must migrate, and one
-  // that only shrinks once the task stops faulting on the color. Huge
-  // mappings are skipped (a 2 MB frame spans every color).
-  std::vector<VirtAddr> pages_of_task_color(TaskId task, unsigned bank_color,
-                                            bool colored_only = true) const;
-  // LLC-dimension analogue: the virtual pages of `task` backed by frames
-  // of `llc_color` (ascending VA). Same colored_only/huge semantics --
-  // this is the set an LLC heal must migrate after an LLC color swap.
-  std::vector<VirtAddr> pages_of_task_llc_color(TaskId task,
-                                                unsigned llc_color,
-                                                bool colored_only = true) const;
+  // `color` on axis `dim` (ascending VA, so callers process them in a
+  // stable order). Only frames served by the colored ladder stage count:
+  // the set a re-coloring must migrate, and one that only shrinks once
+  // the task stops faulting on the color. Huge mappings are skipped (a
+  // 2 MB frame spans every color).
+  std::vector<VirtAddr> pages_of_task_color(
+      TaskId task, unsigned color, ColorDim dim = ColorDim::kBank) const;
 
   // Background scrubber: one stop-the-world sweep (same freeze order as
   // check_invariants) collecting every frame the fault model flags, then
@@ -621,8 +621,7 @@ class Kernel {
   AllocOutcome alloc_colored(Task& t, const Task::ColorSet& cs,
                              uint64_t vpn_hint, int64_t transient_offline);
   // Ladder stage 2: any parked page on the task's own nodes, relaxing
-  // the color constraint but keeping node locality (the in-kernel
-  // analogue of ColorAdvisor's widening advice).
+  // the color constraint but keeping node locality.
   Pfn widen_from_node_lists(const Task& t, const Task::ColorSet& cs,
                             int64_t transient_offline);
   // Huge-page fault: maps an aligned 2 MB block at once (node-aware).

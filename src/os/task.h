@@ -11,7 +11,7 @@
 // Thread safety: allocation statistics and the combo cursor are atomics
 // -- any thread's fault may bump them. The color sets are published as
 // *immutable snapshots* behind an atomic pointer: a reader (a fault, the
-// advisor, the ColorGuard's page walk) loads one `ColorSet` and sees an
+// ColorGuard's color search and page walk) loads one `ColorSet` and sees an
 // internally consistent view no matter how many color-control calls or
 // live re-colorings race with it. Writers (SET_*/CLEAR_* color control,
 // `replace_colors` used by Kernel::recolor_task) serialize on a small

@@ -23,7 +23,6 @@ ColorGuard::ColorGuard(os::Kernel& kernel, const sim::MemorySystem& memsys,
     : kernel_(kernel),
       memsys_(memsys),
       mapping_(kernel.mapping()),
-      advisor_(kernel.mapping(), kernel.topology()),
       cfg_(cfg) {
   const unsigned nb = mapping_.num_bank_colors();
   const unsigned nl = mapping_.num_llc_colors();
@@ -175,29 +174,6 @@ bool ColorGuard::under_pressure_locked() {
   return pressured;
 }
 
-std::vector<uint8_t> ColorGuard::hot_set_locked() const {
-  const unsigned nb = mapping_.num_bank_colors();
-  std::vector<uint8_t> hot(nb, 0);
-  for (unsigned c = 0; c < nb; ++c)
-    hot[c] = bank_hot_[c].load(std::memory_order_relaxed);
-  return hot;
-}
-
-std::vector<uint8_t> ColorGuard::llc_hot_set_locked() const {
-  const unsigned nl = mapping_.num_llc_colors();
-  std::vector<uint8_t> hot(nl, 0);
-  for (unsigned c = 0; c < nl; ++c)
-    hot[c] = llc_hot_[c].load(std::memory_order_relaxed);
-  return hot;
-}
-
-std::vector<os::VirtAddr> ColorGuard::resident_locked(
-    os::TaskId task, unsigned color, core::ColorDim dim) const {
-  return dim == core::ColorDim::kLlc
-             ? kernel_.pages_of_task_llc_color(task, color)
-             : kernel_.pages_of_task_color(task, color);
-}
-
 ColorGuard::TenantState& ColorGuard::tenant_locked(os::TaskId task) {
   if (tenants_.size() <= task) tenants_.resize(task + 1);
   return tenants_[task];
@@ -238,19 +214,19 @@ void ColorGuard::heal_locked(uint64_t epoch, unsigned& budget) {
   struct HotColor {
     double ewma;
     unsigned color;
-    core::ColorDim dim;
+    os::ColorDim dim;
   };
   const unsigned nb = mapping_.num_bank_colors();
   std::vector<HotColor> hot;
   for (unsigned c = 0; c < nb; ++c)
     if (bank_hot_[c].load(std::memory_order_relaxed))
       hot.push_back({bank_ewma_[c].load(std::memory_order_relaxed), c,
-                     core::ColorDim::kBank});
+                     os::ColorDim::kBank});
   const unsigned nl = mapping_.num_llc_colors();
   for (unsigned c = 0; c < nl; ++c)
     if (llc_hot_[c].load(std::memory_order_relaxed))
       hot.push_back({llc_ewma_[c].load(std::memory_order_relaxed), c,
-                     core::ColorDim::kLlc});
+                     os::ColorDim::kLlc});
   std::sort(hot.begin(), hot.end(), [](const HotColor& a, const HotColor& b) {
     if (a.ewma != b.ewma) return a.ewma > b.ewma;
     if (a.dim != b.dim) return a.dim < b.dim;  // banks first on a tie
@@ -268,7 +244,7 @@ void ColorGuard::heal_locked(uint64_t epoch, unsigned& budget) {
     std::vector<os::TaskId> holders;
     for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id) {
       const os::Task& t = kernel_.task(id);
-      const bool holds = h.dim == core::ColorDim::kLlc
+      const bool holds = h.dim == os::ColorDim::kLlc
                              ? t.has_llc_color(h.color)
                              : t.has_mem_color(h.color);
       if (!holds) continue;
@@ -297,7 +273,7 @@ void ColorGuard::heal_locked(uint64_t epoch, unsigned& budget) {
 }
 
 std::vector<os::TaskId> ColorGuard::order_victims_locked(
-    std::vector<os::TaskId> holders, unsigned color, core::ColorDim dim) {
+    std::vector<os::TaskId> holders, unsigned color, os::ColorDim dim) {
   // Cheapest victim first: order by (priority, measured traffic cost,
   // newest) -- decisions follow observed counters, not arrival order.
   // Cost = resident pages on the hot color, weighted by the DRAM-access
@@ -314,7 +290,7 @@ std::vector<os::TaskId> ColorGuard::order_victims_locked(
   std::vector<Scored> scored;
   scored.reserve(holders.size());
   for (const os::TaskId id : holders) {
-    const size_t resident = resident_locked(id, color, dim).size();
+    const size_t resident = kernel_.pages_of_task_color(id, color, dim).size();
     const uint64_t traffic = core_dram_delta_[kernel_.task(id).core()];
     scored.push_back({id, tenant_locked(id).priority,
                       static_cast<double>(resident) *
@@ -332,7 +308,7 @@ std::vector<os::TaskId> ColorGuard::order_victims_locked(
 }
 
 bool ColorGuard::start_heal_locked(os::TaskId task, unsigned hot_color,
-                                   core::ColorDim dim) {
+                                   os::ColorDim dim) {
   if (!kernel_.task_alive(task)) {
     // Covers the public start_heal() path too: a caller holding a stale
     // TaskId gets a refusal, not a heal of a reaped tenant.
@@ -345,33 +321,69 @@ bool ColorGuard::start_heal_locked(os::TaskId task, unsigned hot_color,
       stats_.cooldown_skips.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const bool llc = dim == core::ColorDim::kLlc;
-  const core::TaskAdvice advice = advisor_.plan_recolor(
-      kernel_, task, hot_color, llc ? llc_hot_set_locked() : hot_set_locked(),
-      dim);
-  if (advice.kind != core::TaskAdvice::Kind::kRecolorHot) return false;
-  if (llc) {
-    if (advice.additions.llc_colors.empty()) return false;
-    if (!kernel_.recolor_task(task, {}, {}, advice.removals.llc_colors,
-                              advice.additions.llc_colors))
-      return false;
-  } else {
-    if (advice.additions.mem_colors.empty()) return false;
-    if (!kernel_.recolor_task(task, advice.removals.mem_colors,
-                              advice.additions.mem_colors))
-      return false;
-  }
+  const std::optional<unsigned> repl =
+      pick_replacement_locked(task, hot_color, dim);
+  if (!repl) return false;
+  const bool llc = dim == os::ColorDim::kLlc;
+  const bool swapped =
+      llc ? kernel_.recolor_task(task, {}, {},
+                                 {static_cast<uint8_t>(hot_color)},
+                                 {static_cast<uint8_t>(*repl)})
+          : kernel_.recolor_task(task, {static_cast<uint16_t>(hot_color)},
+                                 {static_cast<uint16_t>(*repl)});
+  if (!swapped) return false;
   st.phase = TenantPhase::kMigrating;
   st.dim = dim;
   st.old_color = static_cast<uint16_t>(hot_color);
-  st.new_color =
-      llc ? static_cast<uint16_t>(advice.additions.llc_colors.front())
-          : advice.additions.mem_colors.front();
+  st.new_color = static_cast<uint16_t>(*repl);
   st.failures = 0;
   st.next_attempt_epoch = 0;
   stats_.heals_started.fetch_add(1, std::memory_order_relaxed);
   if (llc) stats_.llc_heals_started.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+std::optional<unsigned> ColorGuard::pick_replacement_locked(
+    os::TaskId task, unsigned hot_color, os::ColorDim dim) const {
+  const os::Task& t = kernel_.task(task);
+  if (dim == os::ColorDim::kLlc) {
+    if (!t.has_llc_color(hot_color)) return std::nullopt;
+    // No retirement axis (RAS retires banks, not cache slices) and no
+    // node preference (every node sees the LLC).
+    const unsigned nl = mapping_.num_llc_colors();
+    std::vector<uint8_t> claimed(nl, 0);
+    for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id)
+      for (const uint8_t c : kernel_.task(id).llc_color_list()) claimed[c] = 1;
+    for (unsigned c = 0; c < nl; ++c)
+      if (!claimed[c] && !llc_hot(c) && !t.has_llc_color(c)) return c;
+    return std::nullopt;
+  }
+
+  if (!t.has_mem_color(hot_color)) return std::nullopt;
+  // Claimed by any task or retired by RAS.
+  std::vector<uint8_t> blocked(mapping_.num_bank_colors(), 0);
+  for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id)
+    for (const uint16_t c : kernel_.task(id).mem_color_list()) blocked[c] = 1;
+  for (const unsigned c : kernel_.retired_colors()) blocked[c] = 1;
+
+  std::vector<unsigned> nodes;
+  const auto add_node = [&](unsigned n) {
+    if (std::find(nodes.begin(), nodes.end(), n) == nodes.end())
+      nodes.push_back(n);
+  };
+  add_node(mapping_.node_of_bank_color(hot_color));
+  add_node(t.local_node());
+  for (unsigned n = 0; n < kernel_.topology().num_nodes(); ++n) add_node(n);
+
+  for (const unsigned node : nodes) {
+    if (!kernel_.node_online(node)) continue;
+    for (unsigned b = 0; b < mapping_.banks_per_node(); ++b) {
+      const unsigned color = mapping_.make_bank_color(node, b);
+      if (!blocked[color] && !bank_hot(color) && !t.has_mem_color(color))
+        return color;
+    }
+  }
+  return std::nullopt;
 }
 
 void ColorGuard::advance_locked(os::TaskId task, TenantState& st,
@@ -392,14 +404,14 @@ void ColorGuard::advance_locked(os::TaskId task, TenantState& st,
   // (kMigrationRace) -- a bounded re-scan keeps the epoch from spinning.
   for (int pass = 0; pass < 2; ++pass) {
     const std::vector<os::VirtAddr> vas =
-        resident_locked(task, st.old_color, st.dim);
+        kernel_.pages_of_task_color(task, st.old_color, st.dim);
     if (vas.empty()) {
       // Every colored page left the hot color: the heal is complete.
       st.phase = TenantPhase::kCooldown;
       st.cooldown_until = epoch + cfg_.cooldown_epochs;
       st.failures = 0;
       stats_.heals_completed.fetch_add(1, std::memory_order_relaxed);
-      if (st.dim == core::ColorDim::kLlc)
+      if (st.dim == os::ColorDim::kLlc)
         stats_.llc_heals_completed.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -448,13 +460,13 @@ void ColorGuard::rollback_locked(os::TaskId task, TenantState& st,
   // colored (the old color is in the set again), just non-resident on
   // its preferred bank until the tenant faults it back.
   stats_.rollbacks.fetch_add(1, std::memory_order_relaxed);
-  if (st.dim == core::ColorDim::kLlc)
+  if (st.dim == os::ColorDim::kLlc)
     kernel_.recolor_task(task, {}, {}, {static_cast<uint8_t>(st.new_color)},
                          {static_cast<uint8_t>(st.old_color)});
   else
     kernel_.recolor_task(task, {st.new_color}, {st.old_color});
   const std::vector<os::VirtAddr> vas =
-      resident_locked(task, st.new_color, st.dim);
+      kernel_.pages_of_task_color(task, st.new_color, st.dim);
   for (const os::VirtAddr va : vas) {
     if (!budget) break;
     const os::Kernel::MigrateResult r = kernel_.migrate_page(va);
@@ -469,7 +481,7 @@ void ColorGuard::rollback_locked(os::TaskId task, TenantState& st,
 }
 
 bool ColorGuard::start_heal(os::TaskId task, unsigned hot_color,
-                            core::ColorDim dim) {
+                            os::ColorDim dim) {
   std::lock_guard lk(mu_);
   return start_heal_locked(task, hot_color, dim);
 }

@@ -7,7 +7,7 @@
 // controllers (and per-LLC-color interference from the shared LLC),
 // detects *hot* colors with an EWMA filtered through hysteresis bands,
 // and heals live tenants -- swapping the hot color for a quiet one via
-// ColorAdvisor::plan_recolor + Kernel::recolor_task, then migrating the
+// pick_replacement_locked + Kernel::recolor_task, then migrating the
 // tenant's affected pages with migrate_page under a per-epoch budget.
 //
 // The robustness core is the failure envelope, not the happy path:
@@ -40,10 +40,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
-#include "core/color_advisor.h"
 #include "os/kernel.h"
 #include "sim/memory_system.h"
 #include "util/lock_rank.h"
@@ -160,7 +160,7 @@ class ColorGuard {
   // tenant is mid-heal or cooling down, or no healthy replacement color
   // exists.
   bool start_heal(os::TaskId task, unsigned hot_color,
-                  core::ColorDim dim = core::ColorDim::kBank);
+                  os::ColorDim dim = os::ColorDim::kBank);
 
   // --- observability ---
   const GuardStats& stats() const { return stats_; }
@@ -196,7 +196,7 @@ class ColorGuard {
   struct TenantState {
     TenantPhase phase = TenantPhase::kIdle;
     // The in-flight heal: one color swapped on one axis.
-    core::ColorDim dim = core::ColorDim::kBank;
+    os::ColorDim dim = os::ColorDim::kBank;
     uint16_t old_color = 0;
     uint16_t new_color = 0;
     unsigned failures = 0;            // consecutive failed attempts
@@ -211,24 +211,29 @@ class ColorGuard {
   // Orders the holders of a collided color so the preferred victim comes
   // first: by priority, then measured traffic cost, then newest.
   std::vector<os::TaskId> order_victims_locked(
-      std::vector<os::TaskId> holders, unsigned color, core::ColorDim dim);
+      std::vector<os::TaskId> holders, unsigned color, os::ColorDim dim);
   bool start_heal_locked(os::TaskId task, unsigned hot_color,
-                         core::ColorDim dim);
+                         os::ColorDim dim);
+  // The color that replaces `hot_color` in `task`'s set on axis `dim`, or
+  // none when no healthy one exists (the guard then backs off rather
+  // than churn). The replacement is claimed by no task and not itself
+  // hot, so a heal never moves the collision or lands on another hot
+  // color. Banks must also be RAS-healthy and on an online node, and the
+  // search prefers the hot color's node (the migration stays
+  // controller-local), then the task's node, then any other. The LLC
+  // palette is machine-global: the lowest qualifying color wins.
+  std::optional<unsigned> pick_replacement_locked(os::TaskId task,
+                                                  unsigned hot_color,
+                                                  os::ColorDim dim) const;
   void advance_locked(os::TaskId task, TenantState& st, unsigned& budget,
                       uint64_t epoch);
   void rollback_locked(os::TaskId task, TenantState& st, unsigned& budget,
                        uint64_t epoch);
-  // Pages of `task` still resident on `color` along `dim`.
-  std::vector<os::VirtAddr> resident_locked(os::TaskId task, unsigned color,
-                                            core::ColorDim dim) const;
-  std::vector<uint8_t> hot_set_locked() const;
-  std::vector<uint8_t> llc_hot_set_locked() const;
   TenantState& tenant_locked(os::TaskId task);
 
   os::Kernel& kernel_;
   const sim::MemorySystem& memsys_;
   const hw::AddressMapping& mapping_;
-  core::ColorAdvisor advisor_;
   GuardConfig cfg_;
   GuardStats stats_;
 

@@ -52,45 +52,6 @@ bool StreamingPassStream::next(Op& op) {
   return true;
 }
 
-PointerChaseStream::PointerChaseStream(os::VirtAddr base, uint64_t bytes,
-                                       unsigned line, uint64_t accesses,
-                                       uint64_t seed)
-    : base_(base), lines_(bytes / line), line_(line), accesses_(accesses) {
-  TINT_ASSERT(lines_ >= 2);
-  // Affine LCG step x -> a*x + c (mod lines). With a % 4 == 1 and odd c
-  // the orbit is the full line set when `lines` is a power of two
-  // (Hull-Dobell); otherwise it is still a long cycle. Deterministic
-  // per seed.
-  a_ = ((mix64(seed) & ~uint64_t{3}) | 1) % lines_;
-  if (a_ < 5) a_ = lines_ > 5 ? 5 : 1;
-  c_ = (mix64(seed ^ 0x9e37) | 1) % lines_;
-  cursor_ = mix64(seed ^ 0x51ed) % lines_;
-}
-
-bool PointerChaseStream::next(Op& op) {
-  if (issued_ >= accesses_) return false;
-  ++issued_;
-  op.kind = Op::Kind::kAccess;
-  op.write = false;
-  op.cycles = 0;
-  op.va = base_ + cursor_ * line_;
-  cursor_ = (a_ * cursor_ + c_) % lines_;
-  return true;
-}
-
-ComputeStream::ComputeStream(Cycles total, Cycles slice)
-    : remaining_(total), slice_(slice) {
-  TINT_ASSERT(slice > 0);
-}
-
-bool ComputeStream::next(Op& op) {
-  if (remaining_ == 0) return false;
-  op.kind = Op::Kind::kCompute;
-  op.cycles = std::min(remaining_, slice_);
-  remaining_ -= op.cycles;
-  return true;
-}
-
 MixedKernelStream::MixedKernelStream(const MixedKernelParams& p, uint64_t seed)
     : p_(p), rng_(seed) {
   TINT_ASSERT(p_.private_bytes >= p_.line);

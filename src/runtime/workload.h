@@ -71,37 +71,6 @@ class StreamingPassStream final : public OpStream {
   uint64_t i_ = 0;
 };
 
-// Pointer-chase over a region: each access's address depends on the
-// previous one (a seeded random permutation cycle), modeling dependent
-// loads (linked lists, trees) that expose full memory latency with no
-// bank-level parallelism within the thread.
-class PointerChaseStream final : public OpStream {
- public:
-  // Chases `accesses` hops through a permutation of `bytes / line` lines.
-  PointerChaseStream(os::VirtAddr base, uint64_t bytes, unsigned line,
-                     uint64_t accesses, uint64_t seed);
-  bool next(Op& op) override;
-
- private:
-  os::VirtAddr base_;
-  uint64_t lines_;
-  unsigned line_;
-  uint64_t accesses_, issued_ = 0;
-  uint64_t cursor_ = 0;  // current line index
-  uint64_t a_, c_;       // affine permutation parameters (odd multiplier)
-};
-
-// Pure compute (serial sections of compute-bound phases).
-class ComputeStream final : public OpStream {
- public:
-  explicit ComputeStream(Cycles total, Cycles slice = 1000);
-  bool next(Op& op) override;
-
- private:
-  Cycles remaining_;
-  Cycles slice_;
-};
-
 // The per-benchmark parallel-section kernel: a budget of accesses over a
 // private region with a hot (reused) window, a shared read-mostly region,
 // and interleaved compute. All randomness is deterministic per

@@ -35,7 +35,6 @@ inline constexpr int kHeapArena = 2;    // TintHeap arena (calls into kernel)
 inline constexpr int kAdmission = 3;    // AdmissionController registry (calls
                                         // into kernel; never held together
                                         // with kGuard or kHeapArena)
-inline constexpr int kTrace = 5;        // TraceRecorder (held across touch)
 inline constexpr int kMm = 10;          // Kernel VMA table + VA cursor
 inline constexpr int kTaskTable = 20;   // task-table growth (writers only)
 inline constexpr int kTaskColors = 25;  // one task's color-set writers

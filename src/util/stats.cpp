@@ -21,24 +21,6 @@ void Summary::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Summary::merge(const Summary& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  sum_ += other.sum_;
-  n_ += other.n_;
-}
-
 double Summary::min() const { return n_ ? min_ : 0.0; }
 double Summary::max() const { return n_ ? max_ : 0.0; }
 double Summary::mean() const { return n_ ? mean_ : 0.0; }
@@ -60,39 +42,6 @@ double percentile(std::span<const double> sorted, double p) {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double mean_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  TINT_ASSERT(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const size_t i = static_cast<size_t>((x - lo_) / width_);
-    ++counts_[std::min(i, counts_.size() - 1)];
-  }
-}
-
-double Histogram::bucket_lo(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 }  // namespace tint

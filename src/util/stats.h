@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace tint {
 
@@ -13,7 +12,6 @@ namespace tint {
 class Summary {
  public:
   void add(double x);
-  void merge(const Summary& other);
 
   size_t count() const { return n_; }
   double min() const;
@@ -34,28 +32,5 @@ class Summary {
 
 // Exact percentile over a stored sample set (nearest-rank).
 double percentile(std::span<const double> sorted_samples, double p);
-
-// Convenience: mean of a vector (0 when empty).
-double mean_of(std::span<const double> xs);
-
-// Fixed-width histogram for latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void add(double x);
-  size_t bucket_count() const { return counts_.size(); }
-  uint64_t count_at(size_t i) const { return counts_[i]; }
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
-  uint64_t total() const { return total_; }
-  double bucket_lo(size_t i) const;
-  double bucket_hi(size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<uint64_t> counts_;
-  uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
 
 }  // namespace tint

@@ -56,30 +56,6 @@ std::string Table::render() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  const auto emit = [&out](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ',';
-      const std::string& cell = row[i];
-      if (cell.find_first_of(",\"\n") != std::string::npos) {
-        out << '"';
-        for (const char ch : cell) {
-          if (ch == '"') out << '"';
-          out << ch;
-        }
-        out << '"';
-      } else {
-        out << cell;
-      }
-    }
-    out << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return out.str();
-}
-
 std::string Table::to_json() const {
   std::ostringstream out;
   const auto quote = [&out](const std::string& s) {

@@ -24,10 +24,6 @@ class Table {
   // Renders with aligned columns; includes title and header rule.
   std::string render() const;
 
-  // Renders as CSV (header + rows; the title is omitted). Cells
-  // containing commas or quotes are quoted per RFC 4180.
-  std::string to_csv() const;
-
   // Renders as a JSON object {"title": ..., "header": [...],
   // "rows": [[...], ...]} with all cells as strings.
   std::string to_json() const;

@@ -1,5 +1,4 @@
-// Extended TintHeap API: realloc, aligned_alloc, usable_size, and the
-// huge-page extension (malloc_huge).
+// TintHeap's huge-page extension (malloc_huge).
 #include <gtest/gtest.h>
 
 #include "core/tintmalloc.h"
@@ -31,99 +30,6 @@ class HeapApiTest : public ::testing::Test {
   os::TaskId task_;
   TintHeap heap_;
 };
-
-// ---- realloc ----
-
-TEST_F(HeapApiTest, ReallocNullIsMalloc) {
-  const os::VirtAddr p = heap_.realloc(0, 100);
-  EXPECT_NE(p, 0u);
-  heap_.free(p);
-}
-
-TEST_F(HeapApiTest, ReallocZeroFrees) {
-  const os::VirtAddr p = heap_.malloc(100);
-  EXPECT_EQ(heap_.realloc(p, 0), 0u);
-  EXPECT_EQ(heap_.stats().bytes_live, 0u);
-}
-
-TEST_F(HeapApiTest, ReallocWithinClassKeepsPointer) {
-  const os::VirtAddr p = heap_.malloc(100);  // class 128
-  EXPECT_EQ(heap_.realloc(p, 120), p);
-  EXPECT_EQ(heap_.realloc(p, 100), p);
-  heap_.free(p);
-}
-
-TEST_F(HeapApiTest, ReallocGrowthMoves) {
-  const os::VirtAddr p = heap_.malloc(100);
-  const os::VirtAddr q = heap_.realloc(p, 4000);
-  EXPECT_NE(q, p);
-  heap_.free(q);
-  // p must have been freed by realloc: reusable.
-  EXPECT_EQ(heap_.malloc(100), p);
-}
-
-TEST_F(HeapApiTest, ReallocLargeToLarger) {
-  const os::VirtAddr p = heap_.malloc(64 << 10);
-  const os::VirtAddr q = heap_.realloc(p, 256 << 10);
-  EXPECT_NE(q, 0u);
-  kernel_.touch(task_, q + (256 << 10) - 1, true);  // range valid
-  heap_.free(q);
-}
-
-TEST_F(HeapApiTest, ReallocChainStress) {
-  os::VirtAddr p = heap_.malloc(16);
-  for (uint64_t size = 32; size <= (1 << 20); size *= 2)
-    p = heap_.realloc(p, size);
-  EXPECT_NE(p, 0u);
-  heap_.free(p);
-  EXPECT_EQ(heap_.stats().bytes_live, 0u);
-}
-
-// ---- aligned_alloc ----
-
-TEST_F(HeapApiTest, AlignedAllocRespectsAlignment) {
-  for (const uint64_t align : {16ULL, 64ULL, 256ULL, 4096ULL, 65536ULL}) {
-    const os::VirtAddr p = heap_.aligned_alloc(align, 100);
-    EXPECT_NE(p, 0u);
-    EXPECT_EQ(p % align, 0u) << "align " << align;
-    heap_.free(p);
-  }
-}
-
-TEST_F(HeapApiTest, AlignedAllocFreeRoundTrip) {
-  const os::VirtAddr p = heap_.aligned_alloc(4096, 1000);
-  heap_.free(p);
-  EXPECT_EQ(heap_.stats().bytes_live, 0u);
-  // Heap still consistent for further use.
-  const os::VirtAddr q = heap_.malloc(64);
-  EXPECT_NE(q, 0u);
-}
-
-TEST_F(HeapApiTest, AlignedLargeAllocation) {
-  const os::VirtAddr p = heap_.aligned_alloc(1 << 16, 1 << 20);
-  EXPECT_EQ(p % (1 << 16), 0u);
-  kernel_.touch(task_, p + (1 << 20) - 1, true);
-  heap_.free(p);
-}
-
-TEST_F(HeapApiTest, AlignedAllocDistinctPointers) {
-  const os::VirtAddr a = heap_.aligned_alloc(256, 100);
-  const os::VirtAddr b = heap_.aligned_alloc(256, 100);
-  EXPECT_NE(a, b);
-  heap_.free(a);
-  heap_.free(b);
-}
-
-TEST_F(HeapApiTest, UsableSizeCoversRequest) {
-  const os::VirtAddr p = heap_.malloc(100);
-  EXPECT_GE(heap_.usable_size(p), 100u);
-  heap_.free(p);
-  const os::VirtAddr q = heap_.aligned_alloc(512, 300);
-  EXPECT_GE(heap_.usable_size(q), 300u);
-  heap_.free(q);
-}
-
-// ---- huge pages ----
 
 TEST_F(HeapApiTest, MallocHugeReturnsAlignedRegion) {
   const os::VirtAddr p = heap_.malloc_huge(3 << 20);  // rounds to 4 MB

@@ -61,12 +61,6 @@ TEST_F(TintHeapTest, SizeClassesSeparateFreeLists) {
   EXPECT_NE(a, b);
 }
 
-TEST_F(TintHeapTest, CallocBehavesLikeMalloc) {
-  const os::VirtAddr p = heap_.calloc(10, 24);
-  EXPECT_NE(p, 0u);
-  heap_.free(p);
-}
-
 TEST_F(TintHeapTest, LargeAllocationGetsOwnVma) {
   const uint64_t big = 1ULL << 20;
   const os::VirtAddr p = heap_.malloc(big);
@@ -184,29 +178,6 @@ TEST_F(TintHeapTest, FreeForeignPointerIsRejectedNotFatal) {
   heap_.free(0x12345670);
   EXPECT_EQ(heap_.last_error(), os::AllocError::kInvalidArgument);
   EXPECT_EQ(heap_.stats().invalid_frees, 1u);
-}
-
-TEST_F(TintHeapTest, ReallocUnknownPointerIsRejected) {
-  EXPECT_EQ(heap_.realloc(0xdead0000, 128), 0u);
-  EXPECT_EQ(heap_.last_error(), os::AllocError::kInvalidArgument);
-}
-
-TEST_F(TintHeapTest, CallocOverflowIsRejected) {
-  EXPECT_EQ(heap_.calloc(~uint64_t{0} / 2, 16), 0u);
-  EXPECT_EQ(heap_.last_error(), os::AllocError::kInvalidArgument);
-  EXPECT_EQ(heap_.stats().failed_mallocs, 1u);
-}
-
-TEST_F(TintHeapTest, AlignedAllocBadAlignmentIsRejected) {
-  EXPECT_EQ(heap_.aligned_alloc(24, 64), 0u);  // not a power of two
-  EXPECT_EQ(heap_.last_error(), os::AllocError::kInvalidArgument);
-  EXPECT_EQ(heap_.aligned_alloc(8, 64), 0u);  // below the minimum
-  EXPECT_EQ(heap_.last_error(), os::AllocError::kInvalidArgument);
-}
-
-TEST_F(TintHeapTest, UsableSizeUnknownPointerReturnsZero) {
-  EXPECT_EQ(heap_.usable_size(0xdead0000), 0u);
-  EXPECT_EQ(heap_.last_error(), os::AllocError::kInvalidArgument);
 }
 
 }  // namespace

@@ -235,8 +235,11 @@ TEST(RecolorHealTest, InjectedLlcCollisionHealsLiveWithNoRestart) {
   };
   const os::VirtAddr sbase = map_in(service);
   const os::VirtAddr ibase = map_in(intruder);
-  ASSERT_EQ(k.pages_of_task_llc_color(service, shared_llc).size(), kPages);
-  ASSERT_EQ(k.pages_of_task_llc_color(intruder, shared_llc).size(), kPages);
+  const auto llc_pages = [&](os::TaskId t, unsigned llc_color) {
+    return k.pages_of_task_color(t, llc_color, os::ColorDim::kLlc).size();
+  };
+  ASSERT_EQ(llc_pages(service, shared_llc), kPages);
+  ASSERT_EQ(llc_pages(intruder, shared_llc), kPages);
 
   // Both tenants stream their working sets in alternating passes,
   // service from core 0 and intruder from core 1 -- pages of one LLC
@@ -287,11 +290,11 @@ TEST(RecolorHealTest, InjectedLlcCollisionHealsLiveWithNoRestart) {
   EXPECT_FALSE(k.task(intruder).has_llc_color(shared_llc));
   const auto moved = k.task(intruder).llc_color_list();
   ASSERT_EQ(moved.size(), 1u);
-  EXPECT_EQ(k.pages_of_task_llc_color(intruder, moved[0]).size(), kPages);
+  EXPECT_EQ(llc_pages(intruder, moved[0]), kPages);
   // No restart: both tenants stayed live with their full working sets.
   EXPECT_TRUE(k.task_alive(service));
   EXPECT_TRUE(k.task_alive(intruder));
-  EXPECT_EQ(k.pages_of_task_llc_color(service, shared_llc).size(), kPages);
+  EXPECT_EQ(llc_pages(service, shared_llc), kPages);
 
   // Phase 3: the same traffic, measurably quieter. One unmeasured pass
   // first: the migration left the intruder's *old* lines stranded in

@@ -1,11 +1,15 @@
-// Churn-chaos soak (the ISSUE's acceptance scenario): >= 2000 tenant
-// lifetimes stream through the AdmissionController from four worker
-// threads while everything the earlier PRs built misbehaves at once --
-// armed failpoints on the buddy allocator and migration targets, an
-// attached DRAM fault model with flaky and dead regions, a hotplug
-// thread yanking node 1, periodic scrubs and stop-the-world invariant
-// walks, and a live ColorGuard healing collisions on its background
-// thread. Survival means: zero invariant violations at any point, zero
+// Churn-chaos soak: >= 2000 tenant lifetimes stream through the
+// AdmissionController from four worker threads while the robustness
+// machinery misbehaves at once -- armed failpoints on the buddy
+// allocator and migration targets, an attached DRAM fault model with
+// flaky and dead regions, a hotplug thread yanking node 1, periodic
+// scrubs and stop-the-world invariant walks, and a ColorGuard running
+// epochs on its background thread. The churn workers touch pages through
+// Kernel::touch only, which drives no simulated memory traffic, so the
+// guard samples nothing and never heals here (heals racing admission
+// teardown are covered by
+// GuardTortureTest.HealStormKeepsSnapshotsMonotonicAndFramesExact).
+// Survival means: zero invariant violations at any point, zero
 // leaked frames after the last tenant departs (mapped == magazine ==
 // loose == 0), and the per-class SLO ledger still conserves the
 // degradation-ladder identity. Runs under the `qos` ctest label.
@@ -55,8 +59,9 @@ TEST(TenantChurnTest, ColoScaleChurnSurvivesChaosWithoutLeaks) {
   k.failpoints().arm(os::FailPoint::kMigrateTarget,
                      os::FailSpec::probability(0.05));
 
-  // Chaos layer 3: the self-healing watchdog on its background thread,
-  // with the measured-cheapest victim policy QoS classes feed into.
+  // Chaos layer 3: the watchdog's epochs on its background thread. It
+  // samples no traffic here (see the top of the file), so it adds
+  // epoch-lock and pressure-check contention, not heals.
   GuardConfig gcfg;
   gcfg.enabled = true;
   gcfg.migration_budget = 64;
@@ -119,8 +124,8 @@ TEST(TenantChurnTest, ColoScaleChurnSurvivesChaosWithoutLeaks) {
 
   // Every tenant departed: the registry is empty and *nothing* leaked --
   // no mapped frames, no magazine-parked frames, no loose frames, no
-  // color claims -- despite tenants dying mid-fault, mid-heal and
-  // mid-hotplug the whole run.
+  // color claims -- despite tenants dying mid-fault and mid-hotplug the
+  // whole run.
   EXPECT_EQ(adm.live_tenants(), 0u);
   const auto inv = k.check_invariants(0, /*stop_the_world=*/true);
   EXPECT_TRUE(inv.ok) << inv.detail;
@@ -266,7 +271,8 @@ TEST(TenantChurnTest, SingleWorkerTalliesAreBitIdentical) {
 
 // The tenant-churn SLO cell: 500 lifetimes of three classes, on a clean
 // machine or under chaos (buddy and migration failpoints, a flaky bank,
-// the guard healing on its background thread). Returns the per-class
+// the guard's epochs on its background thread, which heal nothing since
+// the churn drives no simulated traffic). Returns the per-class
 // SLO rollup after every tenant departed and the machine was audited
 // stop-the-world.
 SloReport run_slo_cell(bool chaos, unsigned threads) {

@@ -1,6 +1,7 @@
 // Unit tests for the ColorGuard watchdog (runtime/color_guard.h):
-// detector hysteresis, the manual heal path, migration budgets, backoff
-// and rollback after hard failures, pressure suppression, the collision
+// detector hysteresis, the manual heal path and the search for its
+// replacement color, migration budgets, backoff and rollback after hard
+// failures, pressure suppression, the collision
 // rules (>= 2 live holders, the measured-cheapest victim with priority
 // shielding and a newest-first tie-break), and the stale-tenant hardening
 // (a holder that exits between sample and heal is skipped, an in-flight
@@ -558,9 +559,9 @@ TEST_F(ColorGuardTest, ManualLlcHealSwapsTheSliceThenMigrates) {
   ASSERT_NE(k.mmap(t, l0 | os::SET_LLC_COLOR, 0, os::PROT_COLOR_ALLOC),
             os::kMmapFailed);
   touch_pages(k, t, 4);
-  ASSERT_EQ(k.pages_of_task_llc_color(t, l0).size(), 4u);
+  ASSERT_EQ(k.pages_of_task_color(t, l0, os::ColorDim::kLlc).size(), 4u);
 
-  ASSERT_TRUE(guard.start_heal(t, l0, core::ColorDim::kLlc));
+  ASSERT_TRUE(guard.start_heal(t, l0, os::ColorDim::kLlc));
   // The swap is immediate; the pages still sit on the old slice.
   EXPECT_FALSE(k.task(t).has_llc_color(l0));
   const auto llcs = k.task(t).llc_color_list();
@@ -570,15 +571,15 @@ TEST_F(ColorGuardTest, ManualLlcHealSwapsTheSliceThenMigrates) {
   auto gs = guard.stats().snapshot();
   EXPECT_EQ(gs.llc_heals_started, 1u);
   EXPECT_EQ(gs.heals_started, 1u);  // the shared counters cover both axes
-  EXPECT_EQ(k.pages_of_task_llc_color(t, l0).size(), 4u);
+  EXPECT_EQ(k.pages_of_task_color(t, l0, os::ColorDim::kLlc).size(), 4u);
 
   guard.run_epoch();
   gs = guard.stats().snapshot();
   EXPECT_EQ(gs.pages_recolored, 4u);
   EXPECT_EQ(gs.llc_heals_completed, 1u);
   EXPECT_EQ(gs.heals_completed, 1u);
-  EXPECT_TRUE(k.pages_of_task_llc_color(t, l0).empty());
-  EXPECT_EQ(k.pages_of_task_llc_color(t, l1).size(), 4u);
+  EXPECT_TRUE(k.pages_of_task_color(t, l0, os::ColorDim::kLlc).empty());
+  EXPECT_EQ(k.pages_of_task_color(t, l1, os::ColorDim::kLlc).size(), 4u);
   EXPECT_EQ(guard.tenant_phase(t), ColorGuard::TenantPhase::kCooldown);
   const auto rep = k.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.detail;
@@ -598,7 +599,7 @@ TEST_F(ColorGuardTest, FailedLlcHealRollsBackToTheOriginalSlice) {
   ASSERT_NE(k.mmap(t, l0 | os::SET_LLC_COLOR, 0, os::PROT_COLOR_ALLOC),
             os::kMmapFailed);
   touch_pages(k, t, 3);
-  ASSERT_TRUE(guard.start_heal(t, l0, core::ColorDim::kLlc));
+  ASSERT_TRUE(guard.start_heal(t, l0, os::ColorDim::kLlc));
   const unsigned l1 = k.task(t).llc_color_list()[0];
 
   k.failpoints().arm(os::FailPoint::kMigrateTarget, os::FailSpec::always());
@@ -611,7 +612,7 @@ TEST_F(ColorGuardTest, FailedLlcHealRollsBackToTheOriginalSlice) {
   EXPECT_EQ(gs.rollbacks, 1u);
   EXPECT_TRUE(k.task(t).has_llc_color(l0));
   EXPECT_FALSE(k.task(t).has_llc_color(l1));
-  EXPECT_EQ(k.pages_of_task_llc_color(t, l0).size(), 3u);
+  EXPECT_EQ(k.pages_of_task_color(t, l0, os::ColorDim::kLlc).size(), 3u);
   EXPECT_EQ(guard.tenant_phase(t), ColorGuard::TenantPhase::kCooldown);
   const auto rep = k.check_invariants();
   EXPECT_TRUE(rep.ok) << rep.detail;
@@ -639,6 +640,65 @@ TEST_F(ColorGuardTest, SelfConflictingSingleHolderIsNeverHealed) {
   EXPECT_TRUE(guard.bank_hot(c0));
   EXPECT_EQ(guard.stats().snapshot().heals_started, 0u);
   EXPECT_TRUE(k.task(t).has_mem_color(c0));
+}
+
+// The replacement a heal swaps in: never a color another task claims,
+// a RAS-retired one or a hot one; the hot color's node before the
+// others; on the LLC axis the lowest unclaimed color; and no heal at all
+// when nothing qualifies.
+TEST_F(ColorGuardTest, HealPicksAnUnclaimedHealthyQuietColorHotNodeFirst) {
+  os::KernelConfig kcfg;
+  kcfg.ras.retire_threshold = 1;  // one poisoned frame retires its color
+  os::Kernel k = make_kernel(kcfg);
+  GuardConfig cfg;
+  cfg.enabled = true;
+  ColorGuard guard(k, memsys_, cfg);
+
+  const auto bank = [&](unsigned node, unsigned b) {
+    return static_cast<uint16_t>(map_.make_bank_color(node, b));
+  };
+  const os::TaskId t = k.create_task(0);  // local node 0
+  const os::TaskId other = k.create_task(2);
+  claim(k, t, bank(1, 0));
+  claim(k, other, bank(1, 1));
+  // Retire bank(1, 2): poison one of its free frames.
+  os::Pfn victim = 0;
+  while (map_.bank_color(static_cast<hw::PhysAddr>(victim) *
+                         topo_.page_bytes()) != bank(1, 2))
+    ++victim;
+  ASSERT_TRUE(k.poison_frame(victim));
+  ASSERT_EQ(k.retired_colors(), std::vector<uint16_t>{bank(1, 2)});
+  // Heat bank(1, 3), which nobody holds, until the detector flags it.
+  heat_bank(bank(1, 3), 200, 0);
+  guard.run_epoch();
+  ASSERT_TRUE(guard.bank_hot(bank(1, 3)));
+
+  ASSERT_TRUE(guard.start_heal(t, bank(1, 0)));
+  EXPECT_EQ(k.task(t).mem_color_list(), std::vector<uint16_t>{bank(1, 4)});
+
+  // With node 1 used up, the search moves on to node 0.
+  ASSERT_EQ(map_.banks_per_node(), 8u);
+  for (const unsigned b : {0u, 5u, 6u, 7u}) claim(k, other, bank(1, b));
+  const os::TaskId t2 = k.create_task(1);
+  claim(k, t2, bank(1, 1));
+  ASSERT_TRUE(guard.start_heal(t2, bank(1, 1)));
+  EXPECT_EQ(k.task(t2).mem_color_list(), std::vector<uint16_t>{bank(0, 0)});
+
+  // Nothing left anywhere: no heal, and the tenant keeps its color.
+  for (unsigned b = 1; b < 8; ++b) claim(k, other, bank(0, b));
+  const os::TaskId t3 = k.create_task(1);
+  claim(k, t3, bank(0, 1));
+  EXPECT_FALSE(guard.start_heal(t3, bank(0, 1)));
+  EXPECT_TRUE(k.task(t3).has_mem_color(bank(0, 1)));
+
+  // LLC axis: the lowest color no task claims.
+  const os::TaskId t4 = k.create_task(3);
+  ASSERT_NE(k.mmap(t4, 0 | os::SET_LLC_COLOR, 0, os::PROT_COLOR_ALLOC),
+            os::kMmapFailed);
+  ASSERT_NE(k.mmap(other, 1 | os::SET_LLC_COLOR, 0, os::PROT_COLOR_ALLOC),
+            os::kMmapFailed);
+  ASSERT_TRUE(guard.start_heal(t4, 0, os::ColorDim::kLlc));
+  EXPECT_EQ(k.task(t4).llc_color_list(), std::vector<uint8_t>{2});
 }
 
 }  // namespace

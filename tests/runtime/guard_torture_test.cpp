@@ -236,7 +236,7 @@ TEST(GuardTortureTest, HealStormKeepsSnapshotsMonotonicAndFramesExact) {
         }
       }
       guard.start_heal(t, color,
-                       llc ? core::ColorDim::kLlc : core::ColorDim::kBank);
+                       llc ? os::ColorDim::kLlc : os::ColorDim::kBank);
       guard.tenant_phase(t);  // concurrent observer
       std::this_thread::yield();
     }

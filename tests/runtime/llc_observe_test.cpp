@@ -205,7 +205,7 @@ TEST_F(LlcObserveTest, HotFlagsFeedTheAvoidSetOfAnLlcHeal) {
   ASSERT_TRUE(guard.llc_hot(3));
   ASSERT_FALSE(guard.llc_hot(4));
 
-  ASSERT_TRUE(guard.start_heal(t, 2, core::ColorDim::kLlc));
+  ASSERT_TRUE(guard.start_heal(t, 2, os::ColorDim::kLlc));
   EXPECT_FALSE(k.task(t).has_llc_color(2));
   EXPECT_FALSE(k.task(t).has_llc_color(0));
   EXPECT_FALSE(k.task(t).has_llc_color(1));

@@ -64,17 +64,6 @@ TEST(StreamingPassStream, SequentialLines) {
   EXPECT_FALSE(s.next(op));
 }
 
-TEST(ComputeStream, SlicesTotal) {
-  ComputeStream s(2500, 1000);
-  Cycles total = 0;
-  Op op;
-  while (s.next(op)) {
-    EXPECT_EQ(op.kind, Op::Kind::kCompute);
-    total += op.cycles;
-  }
-  EXPECT_EQ(total, 2500u);
-}
-
 TEST(MixedKernelStream, IssuesExactBudget) {
   MixedKernelParams p;
   p.private_base = 0;
@@ -159,53 +148,6 @@ TEST(MixedKernelStream, DeterministicPerSeed) {
   }
   EXPECT_TRUE(diverged);
 }
-
-TEST(PointerChaseStream, VisitsManyDistinctLinesDeterministically) {
-  PointerChaseStream a(0, 64 << 10, 128, 1000, 5);
-  PointerChaseStream b(0, 64 << 10, 128, 1000, 5);
-  PointerChaseStream c(0, 64 << 10, 128, 1000, 6);
-  std::set<os::VirtAddr> seen;
-  Op oa, ob, oc;
-  bool diverged = false;
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(a.next(oa));
-    ASSERT_TRUE(b.next(ob));
-    ASSERT_TRUE(c.next(oc));
-    EXPECT_EQ(oa.va, ob.va);
-    EXPECT_FALSE(oa.write);
-    EXPECT_LT(oa.va, 64u << 10);
-    seen.insert(oa.va);
-    diverged |= oa.va != oc.va;
-  }
-  EXPECT_FALSE(a.next(oa));  // budget exhausted
-  EXPECT_GT(seen.size(), 200u);  // long orbit, not a short cycle
-  EXPECT_TRUE(diverged);
-}
-
-TEST(PointerChaseStream, DependentLoadsExposeFullLatency) {
-  // A chase over a DRAM-resident region has higher average latency than
-  // a sequential stream of the same length (no row-buffer streaks).
-  core::Session s(core::MachineConfig::tiny());
-  const os::TaskId t = s.create_task(0);
-  const os::VirtAddr p = s.heap(t).malloc(2 << 20);
-  // Fault everything in first.
-  hw::Cycles now = 0;
-  for (uint64_t off = 0; off < (2ULL << 20); off += 4096)
-    now += s.touch_and_access(t, p + off, true, now);
-  ParallelEngine engine(s);
-  const os::TaskId tasks[] = {t};
-  PointerChaseStream chase(p, 2 << 20, 128, 4000, 3);
-  OpStream* cp = &chase;
-  const auto chase_time =
-      engine.run_parallel({tasks, 1}, {&cp, 1}, now).duration();
-  StreamingPassStream stream(p, 4000 * 128, 128, false, 0);
-  OpStream* sp = &stream;
-  const auto stream_time =
-      engine.run_parallel({tasks, 1}, {&sp, 1}, now + chase_time).duration();
-  EXPECT_GT(chase_time, stream_time);
-}
-
-// ---------------- spec sanity ----------------
 
 TEST(WorkloadSpecs, SuiteHasPaperBenchmarks) {
   const auto suite = standard_suite();

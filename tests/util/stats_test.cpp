@@ -39,35 +39,6 @@ TEST(Summary, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(Summary, MergeMatchesConcatenation) {
-  Summary a, b, all;
-  const std::vector<double> xs = {1, 2, 3, 4, 5, 6, 100, -3};
-  for (size_t i = 0; i < xs.size(); ++i) {
-    (i < 3 ? a : b).add(xs[i]);
-    all.add(xs[i]);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmptyIsIdentity) {
-  Summary a, empty;
-  a.add(3);
-  a.add(7);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), mean);
-  Summary e2;
-  e2.merge(a);
-  EXPECT_EQ(e2.count(), 2u);
-  EXPECT_EQ(e2.mean(), mean);
-}
-
 TEST(Percentile, EdgesAndMiddle) {
   const std::vector<double> xs = {1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
@@ -84,31 +55,6 @@ TEST(Percentile, InterpolatesBetweenRanks) {
 
 TEST(Percentile, EmptyReturnsZero) {
   EXPECT_EQ(percentile({}, 50), 0.0);
-}
-
-TEST(MeanOf, Basic) {
-  const std::vector<double> xs = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 2.0);
-  EXPECT_EQ(mean_of({}), 0.0);
-}
-
-TEST(Histogram, BucketsAndEdges) {
-  Histogram h(0, 10, 5);
-  h.add(-1);           // underflow
-  h.add(0);            // bucket 0
-  h.add(1.99);         // bucket 0
-  h.add(2);            // bucket 1
-  h.add(9.99);         // bucket 4
-  h.add(10);           // overflow (hi is exclusive)
-  h.add(100);          // overflow
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count_at(0), 2u);
-  EXPECT_EQ(h.count_at(1), 1u);
-  EXPECT_EQ(h.count_at(4), 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
 }
 
 }  // namespace

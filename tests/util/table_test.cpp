@@ -43,24 +43,6 @@ TEST(Table, NoHeaderStillRenders) {
   EXPECT_NE(t.render().find("a  b"), std::string::npos);
 }
 
-TEST(Table, CsvExport) {
-  Table t("ignored title");
-  t.set_header({"a", "b"});
-  t.add_row({"1", "x,y"});
-  t.add_row({"2", "with \"quote\""});
-  const std::string csv = t.to_csv();
-  EXPECT_EQ(csv,
-            "a,b\n"
-            "1,\"x,y\"\n"
-            "2,\"with \"\"quote\"\"\"\n");
-}
-
-TEST(Table, CsvWithoutHeader) {
-  Table t;
-  t.add_row({"p", "q"});
-  EXPECT_EQ(t.to_csv(), "p,q\n");
-}
-
 TEST(Table, RowCount) {
   Table t;
   EXPECT_EQ(t.row_count(), 0u);
