@@ -355,7 +355,7 @@ std::optional<unsigned> ColorGuard::pick_replacement_locked(
     for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id)
       for (const uint8_t c : kernel_.task(id).llc_color_list()) claimed[c] = 1;
     for (unsigned c = 0; c < nl; ++c)
-      if (!claimed[c] && !llc_hot(c) && !t.has_llc_color(c)) return c;
+      if (!claimed[c] && !llc_hot(c)) return c;
     return std::nullopt;
   }
 
@@ -379,8 +379,7 @@ std::optional<unsigned> ColorGuard::pick_replacement_locked(
     if (!kernel_.node_online(node)) continue;
     for (unsigned b = 0; b < mapping_.banks_per_node(); ++b) {
       const unsigned color = mapping_.make_bank_color(node, b);
-      if (!blocked[color] && !bank_hot(color) && !t.has_mem_color(color))
-        return color;
+      if (!blocked[color] && !bank_hot(color)) return color;
     }
   }
   return std::nullopt;

@@ -47,40 +47,31 @@ PAPER_BENCHES = ["fig10_synthetic", "fig11_runtime", "fig12_idle",
 BENCH_ENV = {"TINT_SCALE": "0.05", "TINT_REPS": "1"}
 RUN_TIMEOUT_S = 1800
 MIN_REGION = 10  # test-only lines that make a function a region
+JOBS = max(1, min(4, len(os.sched_getaffinity(0))))
 
 # Test-only regions kept on purpose, or waiting for their deletion.
-# (file regex, function regex, kind, reason); the first match wins.
+# (file regex, function regex, kind, reason); the first match wins. An
+# entry is added when a run shows an unlabelled region it names.
 ROBUST = "robustness"
 PENDING = "pending removal"
 LABELS = [
     (r"runtime/offload\.cpp|os/offload_ring\.cpp", r".",
      PENDING, "offload engine; deleting it changes the benchmark, "
      "since page-churn-offload drives it"),
-    (r"os/kernel\.cpp", r"offload",
-     PENDING, "offload engine's kernel hooks"),
     (r"sim/dram_fault\.cpp", r".",
      ROBUST, "RAS: the DRAM fault model the RAS suite injects"),
-    (r"os/kernel\.cpp", r"poison|scrub|hard_offline|soft_offline|migrate|"
-     r"retire|screen",
+    (r"os/kernel\.cpp", r"poison|scrub|hard_offline|migrate|screen",
      ROBUST, "RAS: poisoning, offlining, migration, scrubbing"),
     (r"os/color_lists\.cpp|os/page_magazine\.cpp", r"::remove$",
      ROBUST, "RAS: poisoning pulls a free frame out of its pool"),
     (r"os/kernel\.cpp", r"::touch$",
      ROBUST, "RAS on touch (ECC corrected / uncorrected) and the "
      "ladder's failure return"),
-    (r"os/kernel\.cpp|os/color_lists\.cpp|os/page_magazine\.cpp",
-     r"online|drain_bank_range",
+    (r"os/kernel\.cpp|os/color_lists\.cpp", r"online|drain_bank_range",
      ROBUST, "hotplug: node offline drains and re-online"),
-    (r"os/kernel\.cpp", r"::alloc_pages$|scaveng|widen|fault_huge",
+    (r"os/kernel\.cpp", r"::alloc_pages$|fault_huge",
      ROBUST, "degradation ladder: pool exhaustion, offline-node skips, "
      "scavenging (failpoints, pressure soaks)"),
-    (r"os/kernel\.cpp", r"check_invariants|freeze",
-     ROBUST, "the stop-the-world invariant walk"),
-    (r"os/failpoints\.cpp", r".",
-     ROBUST, "failpoints: seeded fault injection"),
-    (r"core/tintmalloc\.cpp", r"populate|fail_malloc|alloc_large",
-     ROBUST, "HeapConfig::populate and the malloc failure path the "
-     "pressure soaks drive"),
     (r"runtime/color_guard\.cpp", r"rollback|advance",
      ROBUST, "guard rollback and failed-migration backoff"),
     (r"runtime/color_guard\.cpp", r"heal_locked",
@@ -109,15 +100,15 @@ def preset_cache_vars():
     return next(p for p in presets if p["name"] == PRESET)["cacheVariables"]
 
 
-def build(build_dir, jobs):
+def build(build_dir):
     """Configures and builds the tree and perfbench; returns failures."""
     bench_dir = build_dir / "perfbench"
     defs = [f"-D{k}={v}" for k, v in preset_cache_vars().items()]
     steps = [
         ["cmake", "--preset", PRESET, "-B", str(build_dir)],
-        ["cmake", "--build", str(build_dir), "-j", str(jobs)],
+        ["cmake", "--build", str(build_dir), "-j", str(JOBS)],
         ["cmake", "-S", str(ROOT / "perfbench"), "-B", str(bench_dir)] + defs,
-        ["cmake", "--build", str(bench_dir), "-j", str(jobs)],
+        ["cmake", "--build", str(bench_dir), "-j", str(JOBS)],
     ]
     for cmd in steps:
         if run(cmd, cwd=ROOT) != 0:
@@ -157,8 +148,8 @@ def production_runs(build_dir):
     return failed
 
 
-def tier1(build_dir, jobs):
-    return run(["ctest", "--test-dir", str(build_dir), "-j", str(jobs)])
+def tier1(build_dir):
+    return run(["ctest", "--test-dir", str(build_dir), "-j", str(JOBS)])
 
 
 def short_name(demangled):
@@ -279,8 +270,6 @@ def report(data, markdown):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--build-dir", type=Path, default=ROOT / "build-coverage")
-    ap.add_argument("--jobs", type=int,
-                    default=max(1, min(4, len(os.sched_getaffinity(0)))))
     ap.add_argument("--markdown", action="store_true")
     ap.add_argument("--no-run", action="store_true",
                     help="re-render the counts saved by the last run")
@@ -294,14 +283,14 @@ def main():
     if shutil.which("gcov") is None:
         log("gcov not found")
         return 2
-    failures = build(build_dir, args.jobs)
+    failures = build(build_dir)
     if failures:
         return 1
     clear_counts(build_dir)
     failures += production_runs(build_dir)
     prod, funcs = read_counts(build_dir)
     clear_counts(build_dir)
-    if tier1(build_dir, args.jobs) != 0:
+    if tier1(build_dir) != 0:
         log("FAILED: tier-1")
         failures += 1
     test, more = read_counts(build_dir)
