@@ -87,21 +87,6 @@ Pfn BuddyAllocator::alloc_block(unsigned node, unsigned order) {
   return pfn;
 }
 
-std::optional<std::pair<Pfn, unsigned>> BuddyAllocator::pop_any_block(
-    unsigned node, unsigned min_order) {
-  if (fail_ && fail_->should_fail(FailPoint::kBuddyAlloc)) return std::nullopt;
-  std::lock_guard<ZoneLock> lk(zone_locks_[node]);
-  for (unsigned o = min_order; o <= kMaxOrder; ++o) {
-    const Pfn pfn = pop(node, o);
-    if (pfn != kNoPage) {
-      stats_.allocs.fetch_add(1, std::memory_order_relaxed);
-      pages_[pfn].state = PageState::kAllocated;
-      return std::make_pair(pfn, o);
-    }
-  }
-  return std::nullopt;
-}
-
 std::vector<std::pair<Pfn, unsigned>> BuddyAllocator::pop_blocks(
     unsigned node, unsigned min_order, unsigned max_blocks) {
   std::vector<std::pair<Pfn, unsigned>> blocks;
@@ -129,6 +114,10 @@ void BuddyAllocator::free_block(Pfn pfn, unsigned order) {
   std::lock_guard<ZoneLock> lk(zone_locks_[node]);
   TINT_DASSERT(free_order_[pfn] == kNotFreeHead);
   stats_.frees.fetch_add(1, std::memory_order_relaxed);
+  // Stamp the freed head even if it merges into a lower buddy below and
+  // so never becomes a list head: Algorithm 2 later parks every page of
+  // a popped block, and a stale kColorFree would read as double-parked.
+  pages_[pfn].state = PageState::kBuddyFree;
   // Coalesce while the buddy block is free at the same order and in the
   // same zone (zones are block-aligned so the node check is redundant but
   // cheap insurance).

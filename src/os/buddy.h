@@ -28,7 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "hw/address_mapping.h"
@@ -70,22 +70,18 @@ class BuddyAllocator {
   // Returns the head pfn or kNoPage if the zone cannot satisfy it.
   Pfn alloc_block(unsigned node, unsigned order);
 
-  // Pops the smallest free block of order >= min_order from `node`
-  // without splitting it -- the refill primitive of Algorithm 1
-  // ("if free_list[i] is empty, continue // try next order").
-  // Returns {pfn, order}.
-  std::optional<std::pair<Pfn, unsigned>> pop_any_block(unsigned node,
-                                                        unsigned min_order);
-
-  // Batched pop_any_block: pops up to `max_blocks` blocks of order >=
-  // min_order under ONE zone-lock acquisition (the batched Algorithm-2
-  // refill primitive). Stops early when the zone runs dry. An armed
-  // kBuddyAlloc failpoint fails the whole batch, like pop_any_block.
+  // Pops up to `max_blocks` blocks from `node` under ONE zone-lock
+  // acquisition, each the smallest free block of order >= min_order,
+  // without splitting it -- the refill primitive of Algorithm 1 ("if
+  // free_list[i] is empty, continue // try next order"). Returns
+  // {pfn, order} pairs; stops early when the zone runs dry. An armed
+  // kBuddyAlloc failpoint fails the whole call (one draw per call).
   std::vector<std::pair<Pfn, unsigned>> pop_blocks(unsigned node,
                                                    unsigned min_order,
                                                    unsigned max_blocks);
 
-  // Frees a block of 2^order pages, coalescing with free buddies.
+  // Frees a block of 2^order pages, coalescing with free buddies, and
+  // stamps its head kBuddyFree.
   void free_block(Pfn pfn, unsigned order);
 
   // Carves a specific page out of whatever free block contains it
@@ -115,7 +111,7 @@ class BuddyAllocator {
 
   // Wires the kernel's fault-injection registry into the allocation
   // entry points: an armed kBuddyAlloc failpoint makes alloc_block /
-  // pop_any_block report an empty zone. nullptr disables injection.
+  // pop_blocks report an empty zone. nullptr disables injection.
   void set_failpoints(FailPoints* fp) { fail_ = fp; }
 
   // Snapshot of every free block as {head pfn, order}, by walking the

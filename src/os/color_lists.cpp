@@ -25,72 +25,26 @@ ColorLists::ColorLists(unsigned num_bank_colors, unsigned num_llc_colors,
   shards_ = std::make_unique<Shard[]>(nshards_);
 }
 
-void ColorLists::create_color_list(Pfn head, unsigned order,
-                                   std::vector<PageInfo>& pages) {
-  const Pfn count = Pfn{1} << order;
-  for (Pfn i = 0; i < count; ++i) {
-    const Pfn pfn = head + i;
-    PageInfo& pi = pages[pfn];
-    const size_t k = idx(pi.bank_color, pi.llc_color);
-    std::lock_guard<Shard> lk(shard(k));
-    next_[pfn] = heads_[k];
-    heads_[k] = pfn;
-    counts_[k].fetch_add(1, std::memory_order_relaxed);
-    total_.fetch_add(1, std::memory_order_relaxed);
-    pi.state = PageState::kColorFree;
-  }
-}
-
-uint64_t ColorLists::refill_batch(
+uint64_t ColorLists::create_color_list(
     const std::vector<std::pair<Pfn, unsigned>>& blocks,
     std::vector<PageInfo>& pages, std::vector<Pfn>* taken, unsigned take_mem,
     unsigned take_llc, unsigned take_max) {
-  // Bucket every page of every block by combo index first, so the lock
-  // phase below can splice whole per-combo chains in one acquisition.
-  struct Bucket {
-    size_t k;
-    std::vector<Pfn> pfns;
-  };
-  std::vector<Bucket> buckets;
   const size_t take_k =
       take_max > 0 ? idx(take_mem, take_llc) : static_cast<size_t>(-1);
   unsigned took = 0;
+  uint64_t scattered = 0;
   for (const auto& [head, order] : blocks) {
     const Pfn count = Pfn{1} << order;
-    for (Pfn i = 0; i < count; ++i) {
-      const Pfn pfn = head + i;
+    for (Pfn pfn = head; pfn < head + count; ++pfn) {
       const PageInfo& pi = pages[pfn];
-      const size_t k = idx(pi.bank_color, pi.llc_color);
-      if (k == take_k && took < take_max) {
-        taken->push_back(pfn);  // stays kAllocated; the caller owns it
+      if (took < take_max && idx(pi.bank_color, pi.llc_color) == take_k) {
+        taken->push_back(pfn);  // never parked; the caller owns it
         ++took;
         continue;
       }
-      Bucket* b = nullptr;
-      for (Bucket& cand : buckets)
-        if (cand.k == k) {
-          b = &cand;
-          break;
-        }
-      if (!b) {
-        buckets.push_back({k, {}});
-        b = &buckets.back();
-      }
-      b->pfns.push_back(pfn);
+      push(pfn, pages);
+      ++scattered;
     }
-  }
-  uint64_t scattered = 0;
-  for (Bucket& b : buckets) {
-    std::lock_guard<Shard> lk(shard(b.k));
-    for (const Pfn pfn : b.pfns) {
-      next_[pfn] = heads_[b.k];
-      heads_[b.k] = pfn;
-      pages[pfn].state = PageState::kColorFree;
-      pages[pfn].owner = kNoTask;
-    }
-    counts_[b.k].fetch_add(b.pfns.size(), std::memory_order_relaxed);
-    total_.fetch_add(b.pfns.size(), std::memory_order_relaxed);
-    scattered += b.pfns.size();
   }
   return scattered;
 }

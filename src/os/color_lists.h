@@ -5,7 +5,7 @@
 // color_list[MEM_ID][cache_ID]."
 //
 // Pages migrate from the buddy free lists into this matrix when
-// `create_color_list` (Algorithm 2) splits a buddy block into single
+// `create_color_list` (Algorithm 2) splits buddy blocks into single
 // 4 KB pages; they are handed out by Algorithm 1 (in kernel.cpp) and
 // returned here by free(). Pages never migrate back to the buddy
 // allocator (as in the paper: once colorized, a frame stays colorized).
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "os/page.h"
@@ -44,23 +45,17 @@ class ColorLists {
 
   unsigned num_shards() const { return nshards_; }
 
-  // Algorithm 2: scatter the 2^order pages of a buddy block into the
-  // matrix according to each page's own colors.
-  void create_color_list(Pfn head, unsigned order, std::vector<PageInfo>& pages);
-
-  // Batched Algorithm 2: scatters several buddy blocks at once, taking
-  // each shard lock once per combo *bucket* instead of once per page
-  // (create_color_list locks per page; with 10-page blocks and a hot
-  // shard that is 1024 acquisitions where one will do). If `taken` is
-  // non-null, up to `take_max` pages whose colors equal (take_mem,
-  // take_llc) bypass the matrix entirely and are appended to `taken`
-  // still in kAllocated state -- the magazine-refill direct handoff.
-  // Returns the number of pages scattered into the matrix.
-  uint64_t refill_batch(const std::vector<std::pair<Pfn, unsigned>>& blocks,
-                        std::vector<PageInfo>& pages,
-                        std::vector<Pfn>* taken = nullptr,
-                        unsigned take_mem = 0, unsigned take_llc = 0,
-                        unsigned take_max = 0);
+  // Algorithm 2: scatters the pages of each buddy block {head, order}
+  // into the matrix according to each page's own colors, one push() per
+  // page in block-then-pfn order. If `taken` is non-null, up to
+  // `take_max` pages whose colors equal (take_mem, take_llc) bypass the
+  // matrix and are appended to `taken` unparked, for the caller to
+  // stamp -- the magazine-refill direct handoff. Returns the number of
+  // pages scattered into the matrix.
+  uint64_t create_color_list(
+      const std::vector<std::pair<Pfn, unsigned>>& blocks,
+      std::vector<PageInfo>& pages, std::vector<Pfn>* taken = nullptr,
+      unsigned take_mem = 0, unsigned take_llc = 0, unsigned take_max = 0);
 
   // Pops one page of the exact (MEM_ID, LLC_ID) combination; kNoPage if
   // the list is empty. The popped frame is stamped kAllocated under the
@@ -88,7 +83,7 @@ class ColorLists {
   // Takes *every* parked page whose bank color lies in [mem_lo, mem_hi)
   // in one pass (whole chains per combo, not repeated scans) -- the
   // node-offline drain. The frames are returned still in kColorFree
-  // state, like pop(); the caller re-homes them.
+  // state; the caller re-homes them.
   std::vector<Pfn> drain_bank_range(unsigned mem_lo, unsigned mem_hi);
 
   uint64_t size(unsigned mem_id, unsigned llc_id) const {

@@ -36,8 +36,8 @@
 namespace tint::os {
 
 enum class FailPoint : uint8_t {
-  kBuddyAlloc = 0,  // BuddyAllocator::alloc_block / pop_any_block fails
-  kColorRefill,     // Algorithm 2 refill (create_color_list feed) fails
+  kBuddyAlloc = 0,  // BuddyAllocator::alloc_block / pop_blocks fails
+  kColorRefill,     // Algorithm 2 refill round (before pop_blocks) fails
   kHugePool,        // reserved 2 MB pool treated as dry for one fault
   kNodeOffline,     // faulting task's local node unreachable for one alloc
   // --- RAS family (see DESIGN.md section 11) ---

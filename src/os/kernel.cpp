@@ -908,41 +908,28 @@ Kernel::AllocOutcome Kernel::alloc_colored(Task& t, const Task::ColorSet& cs,
   // draining memory. (The zone lock and the shard locks are never held
   // together: the pop releases the zone before the pages are parked.)
   //
-  // With refill_batch_blocks > 1, several blocks are colorized per round
-  // through ColorLists::refill_batch -- one zone-lock hold for all the
-  // blocks and one shard acquisition per combo *bucket* instead of per
-  // page -- and `taken` diverts up to `take_max` pages of one target
+  // Each round pops up to refill_batch_blocks blocks under one zone-lock
+  // hold and colorizes them page by page; a batch of 1 is the paper's
+  // Algorithm 2. `taken` diverts up to `take_max` pages of one target
   // combo straight to the caller (the magazine prefill) without ever
-  // entering the shards. batch == 1 with no take keeps the legacy
-  // single-block path bit-for-bit (same locking, same counter order),
-  // which is what holds the serial determinism goldens at the default
-  // config.
+  // entering the shards. Only those multi-block or diverting rounds
+  // count as batch_refills.
   const unsigned batch = std::max(1u, cfg_.refill_batch_blocks);
   const auto refill_from = [&](unsigned node, std::vector<Pfn>* taken,
                                unsigned take_mem, unsigned take_llc,
                                unsigned take_max) {
     if (fail_.should_fail(FailPoint::kColorRefill)) return false;
-    if (batch == 1 && take_max == 0) {
-      const auto blk = buddy_->pop_any_block(node, 0);
-      if (!blk) return false;
-      colors_->create_color_list(blk->first, blk->second, pages_);
-      ++out.refill_blocks;
-      out.refill_pages += 1u << blk->second;
-      ++stats_.refill_blocks;
-      stats_.refill_pages += 1u << blk->second;
-      return true;
-    }
     const auto blocks = buddy_->pop_blocks(node, 0, batch);
     if (blocks.empty()) return false;
-    colors_->refill_batch(blocks, pages_, taken, take_mem, take_llc,
-                          take_max);
+    colors_->create_color_list(blocks, pages_, taken, take_mem, take_llc,
+                               take_max);
     uint64_t refilled = 0;
     for (const auto& [head, o] : blocks) refilled += uint64_t{1} << o;
     out.refill_blocks += static_cast<unsigned>(blocks.size());
     out.refill_pages += static_cast<unsigned>(refilled);
     stats_.refill_blocks.fetch_add(blocks.size(), std::memory_order_relaxed);
     stats_.refill_pages.fetch_add(refilled, std::memory_order_relaxed);
-    ++stats_.batch_refills;
+    if (batch > 1 || take_max > 0) ++stats_.batch_refills;
     return true;
   };
 
@@ -1143,7 +1130,6 @@ void Kernel::free_pages(Pfn pfn, unsigned order) {
     return;
   }
   pi.owner = kNoTask;
-  pi.state = PageState::kBuddyFree;
   buddy_->free_block(pfn, order);
 }
 
@@ -1299,7 +1285,6 @@ Kernel::OffloadServiceReport Kernel::offload_service(TaskId id,
       colors_->push(pfn, pages_);
     } else {
       pi.owner = kNoTask;
-      pi.state = PageState::kBuddyFree;
       buddy_->free_block(pfn, 0);
     }
   }
@@ -1368,7 +1353,6 @@ uint64_t Kernel::offload_drain_task_locked(TaskId id) {
       colors_->push(pfn, pages_);
     } else {
       pi.owner = kNoTask;
-      pi.state = PageState::kBuddyFree;
       buddy_->free_block(pfn, 0);
       ++to_buddy;
     }

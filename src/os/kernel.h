@@ -124,10 +124,10 @@ struct KernelConfig {
   // Frames cached per (MEM_ID, LLC_ID) combo in each task's page
   // magazine (see os/page_magazine.h). 0 disables magazines entirely.
   unsigned magazine_capacity = 0;
-  // Buddy blocks colorized per refill round. 1 keeps the legacy
-  // one-block-per-shard-lock path; larger values batch several blocks
-  // through ColorLists::refill_batch under one shard acquisition per
-  // combo bucket.
+  // Buddy blocks colorized per refill round (Algorithm 2,
+  // ColorLists::create_color_list). 1 is the paper's one block per
+  // round, which the serial determinism goldens pin; larger values pop
+  // several blocks under one zone-lock hold and change placement.
   unsigned refill_batch_blocks = 1;
   // --- page-fault cost model (CPU cycles) ---
   Cycles fault_base_cycles = 1500;
@@ -230,7 +230,7 @@ struct KernelStats {
   std::atomic<uint64_t> magazine_hits{0};    // colored allocs a magazine served
   std::atomic<uint64_t> magazine_misses{0};  // magazine probed empty / bypassed
   std::atomic<uint64_t> magazine_drains{0};  // cached frames returned to pools
-  std::atomic<uint64_t> batch_refills{0};    // multi-block refill rounds
+  std::atomic<uint64_t> batch_refills{0};    // multi-block / diverting refills
   // --- live re-coloring (Kernel::recolor_task; used by the ColorGuard) ---
   std::atomic<uint64_t> recolor_calls{0};    // atomic color-set swaps applied
   // --- allocation offload counters (DESIGN.md section 15) ---

@@ -107,19 +107,6 @@ bool Cache::contains(PhysAddr addr) const {
   return find(set_base(set_of(addr)), tag_of(addr), &lru) != nullptr;
 }
 
-bool Cache::invalidate(PhysAddr addr) {
-  Way* const base = set_base(set_of(addr));
-  Way* lru = nullptr;
-  Way* const hit = find(base, tag_of(addr), &lru);
-  if (!hit) return false;
-  // The freed way becomes the LRU; the ways older than it move up by one.
-  const uint8_t r = hit->rank;
-  for (unsigned w = 0; w < ways_; ++w) base[w].rank -= base[w].rank > r;
-  const bool dirty = (hit->flags & kDirty) != 0;
-  *hit = Way{0, 0, static_cast<uint8_t>(ways_ - 1), 0};
-  return dirty;
-}
-
 void Cache::clear(bool clear_stats) {
   // Ranks stay a permutation per set; with every way invalid any order is
   // a valid LRU order.

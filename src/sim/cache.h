@@ -80,10 +80,6 @@ class Cache {
   // Lookup without fill or LRU update (for tests/inspection).
   bool contains(PhysAddr addr) const;
 
-  // Removes a line if present (back-invalidation); returns whether the
-  // line was present and dirty.
-  bool invalidate(PhysAddr addr);
-
   // Drops all lines and (optionally) statistics.
   void clear(bool clear_stats = true);
 

@@ -137,10 +137,10 @@ TEST_P(ColorListFuzz, PopAlwaysMatchesFrameColors) {
 
   // Colorize a random assortment of blocks (I4 precondition).
   for (int i = 0; i < 40; ++i) {
-    const auto blk = buddy.pop_any_block(
+    const auto blk = buddy.pop_blocks(
         static_cast<unsigned>(rng.next_below(2)),
-        static_cast<unsigned>(rng.next_below(8)));
-    if (blk) lists.create_color_list(blk->first, blk->second, pages);
+        static_cast<unsigned>(rng.next_below(8)), 1);
+    lists.create_color_list(blk, pages);
   }
   // Pop from random lists; every page must match its list's colors.
   uint64_t popped = 0;

@@ -113,15 +113,16 @@ TEST_F(BuddyTest, ExhaustionReturnsNoPage) {
 }
 
 TEST_F(BuddyTest, PopAnyBlockSmallestFirst) {
-  // Create a lone order-0 fragment, then pop_any_block must return it
-  // before touching larger blocks (Algorithm 1 scans orders upward).
+  // Create a lone order-0 fragment, then a one-block pop_blocks must
+  // return it before touching larger blocks (Algorithm 1 scans orders
+  // upward).
   const Pfn a = buddy_.alloc_block(0, 0);
   const Pfn b = buddy_.alloc_block(0, 0);
   buddy_.free_block(a, 0);  // a is a free order-0 fragment (b held)
-  const auto blk = buddy_.pop_any_block(0, 0);
-  ASSERT_TRUE(blk.has_value());
-  EXPECT_EQ(blk->first, a);
-  EXPECT_EQ(blk->second, 0u);
+  const auto blk = buddy_.pop_blocks(0, 0, 1);
+  ASSERT_EQ(blk.size(), 1u);
+  EXPECT_EQ(blk[0].first, a);
+  EXPECT_EQ(blk[0].second, 0u);
   buddy_.free_block(b, 0);
 }
 
@@ -129,16 +130,16 @@ TEST_F(BuddyTest, PopAnyBlockMinOrderSkipsSmall) {
   const Pfn a = buddy_.alloc_block(0, 0);
   const Pfn b = buddy_.alloc_block(0, 0);
   buddy_.free_block(a, 0);
-  const auto blk = buddy_.pop_any_block(0, 3);
-  ASSERT_TRUE(blk.has_value());
-  EXPECT_GE(blk->second, 3u);
+  const auto blk = buddy_.pop_blocks(0, 3, 1);
+  ASSERT_EQ(blk.size(), 1u);
+  EXPECT_GE(blk[0].second, 3u);
   buddy_.free_block(b, 0);
 }
 
 TEST_F(BuddyTest, PopAnyBlockEmptyZone) {
-  while (buddy_.pop_any_block(0, 0).has_value()) {
+  while (!buddy_.pop_blocks(0, 0, 1).empty()) {
   }
-  EXPECT_FALSE(buddy_.pop_any_block(0, 0).has_value());
+  EXPECT_TRUE(buddy_.pop_blocks(0, 0, 1).empty());
 }
 
 TEST_F(BuddyTest, ReservePageCarvesExactPage) {

@@ -100,16 +100,6 @@ TEST(Cache, InstallDirtyCascades) {
   EXPECT_EQ(r.evicted_line, 0u);
 }
 
-TEST(Cache, InvalidateRemovesAndReportsDirty) {
-  Cache c(4, 2, kLine);
-  c.access(0, true);
-  EXPECT_TRUE(c.invalidate(0));   // was dirty
-  EXPECT_FALSE(c.contains(0));
-  EXPECT_FALSE(c.invalidate(0));  // already gone
-  c.access(kLine, false);
-  EXPECT_FALSE(c.invalidate(kLine));  // clean
-}
-
 TEST(Cache, ClearResetsContentsAndStats) {
   Cache c(4, 2, kLine);
   c.access(0, true);

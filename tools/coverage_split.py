@@ -79,8 +79,6 @@ LABELS = [
     (r"runtime/churn\.cpp", r"::worker$",
      PENDING, "Poisson arrivals and log-normal lifetimes, unless the "
      "colo-over workload (ROADMAP item 5) adopts them"),
-    (r"sim/cache\.cpp", r"::invalidate$",
-     PENDING, "no production caller; only the cache tests drive it"),
 ]
 
 
