@@ -32,7 +32,8 @@ Kernel::Kernel(const hw::Topology& topo, const hw::AddressMapping& mapping,
     : topo_(topo), mapping_(mapping), cfg_(cfg),
       pages_(build_page_table_metadata(mapping, topo.total_pages())),
       page_table_(topo.page_bits), rng_(seed),
-      fail_(mix64(seed ^ 0xfa11fa11ULL)) {
+      fail_(mix64(seed ^ 0xfa11fa11ULL)),
+      claims_(mapping.num_bank_colors(), mapping.num_llc_colors()) {
   // Boot runs strictly single-threaded; no locks are taken here.
   buddy_ = std::make_unique<BuddyAllocator>(topo, pages_);
   // Shards only set locking granularity, never list contents or pop
@@ -134,7 +135,7 @@ TaskId Kernel::create_task(unsigned pinned_core) {
   TINT_ASSERT(pinned_core < topo_.num_cores());
   return tasks_.create(pinned_core, topo_.node_of_core(pinned_core),
                        mapping_.num_bank_colors(), mapping_.num_llc_colors(),
-                       cfg_.magazine_capacity);
+                       cfg_.magazine_capacity, &claims_);
 }
 
 uint64_t Kernel::drain_magazine_to_colors(Task& t) {
@@ -160,8 +161,8 @@ void Kernel::exit_task(TaskId id) {
   // never observe that window as loose frames.
   std::shared_lock mm(mm_lock_);
   Task& t = tasks_.at(id);
-  // Dead first: control-plane observers (ColorGuard, admission) that
-  // probe task_alive() stop acting on the id from this point on.
+  // Dead first: the ColorGuard probes task_alive() and stops acting on
+  // the id from this point on. Its colors stay claimed until reap.
   t.set_alive(false);
   const std::vector<Pfn> frames = t.magazine().drain_all();
   uint64_t to_buddy = 0;
@@ -196,8 +197,7 @@ Kernel::ReapReport Kernel::reap_task(TaskId id) {
   rep.was_alive = t.alive();
   // 1. Mark dead before touching any resource: a ColorGuard epoch that
   //    sampled this id before we got here skips it instead of healing a
-  //    corpse, and the admission layer stops counting its colors as
-  //    claimed.
+  //    corpse. Its colors stay claimed until step 4.
   t.set_alive(false);
 
   // 2. Release every VMA the task created. The bases are collected under
@@ -224,8 +224,8 @@ Kernel::ReapReport Kernel::reap_task(TaskId id) {
   rep.magazine_drained =
       stats_.magazine_drains.load(std::memory_order_relaxed) - drains_before;
 
-  // 4. Clear the TCB colors so any scan over task color sets observes
-  //    them released. Shared mm hold like the color-control mmap path:
+  // 4. Clear the TCB colors, which releases them in the claim table.
+  //    Shared mm hold like the color-control mmap path:
   //    the clear itself publishes atomically, but a magazine refill
   //    racing between drain and clear must stay excluded from the
   //    stop-the-world walk's window.
@@ -1822,6 +1822,48 @@ std::vector<uint16_t> Kernel::retired_colors() const {
   return out;
 }
 
+std::vector<uint16_t> Kernel::free_bank_colors(unsigned node) const {
+  std::vector<uint16_t> out;
+  for (unsigned b = 0; b < mapping_.banks_per_node(); ++b) {
+    const unsigned c = mapping_.make_bank_color(node, b);
+    if (!claims_.claimed(ColorDim::kBank, c) && !color_retired(c))
+      out.push_back(static_cast<uint16_t>(c));
+  }
+  return out;
+}
+
+std::vector<uint8_t> Kernel::free_llc_colors() const {
+  std::vector<uint8_t> out;
+  for (unsigned c = 0; c < mapping_.num_llc_colors(); ++c)
+    if (!claims_.claimed(ColorDim::kLlc, c))
+      out.push_back(static_cast<uint8_t>(c));
+  return out;
+}
+
+std::string Kernel::claims_mismatch() const {
+  // Rebuilt from every TCB in TaskId order, dead tasks included: a
+  // color stays claimed until reap_task clears the TCB.
+  std::vector<std::vector<TaskId>> want[2] = {
+      std::vector<std::vector<TaskId>>(mapping_.num_bank_colors()),
+      std::vector<std::vector<TaskId>>(mapping_.num_llc_colors())};
+  const size_t ntasks = tasks_.size();
+  for (size_t i = 0; i < ntasks; ++i) {
+    const TaskId id = static_cast<TaskId>(i);
+    const Task::ColorSet& cs = tasks_.at(id).colors();
+    for (const uint16_t c : cs.mem_list) want[0][c].push_back(id);
+    for (const uint8_t c : cs.llc_list) want[1][c].push_back(id);
+  }
+  for (const ColorDim dim : {ColorDim::kBank, ColorDim::kLlc}) {
+    const auto& w = want[static_cast<unsigned>(dim)];
+    for (unsigned c = 0; c < w.size(); ++c)
+      if (claims_.holders(dim, c) != w[c])
+        return std::string("claim table disagrees with the TCBs on ") +
+               (dim == ColorDim::kBank ? "bank" : "LLC") + " color " +
+               std::to_string(c);
+  }
+  return {};
+}
+
 uint64_t Kernel::poisoned_frames() const {
   std::lock_guard<RasLock> ras(ras_lock_);
   return poisoned_.size();
@@ -1842,8 +1884,11 @@ Kernel::InvariantReport Kernel::check_invariants(uint64_t expected_loose,
   std::unique_lock<HugeLock> hl(huge_lock_, std::defer_lock);
   std::unique_lock<RasLock> rl(ras_lock_, std::defer_lock);
   size_t ntasks = 0;
+  if (stop_the_world) mm.lock();
+  // Before the freeze below: the claim table's lock ranks under all of
+  // it. The exclusive mm hold already excludes every kernel color write.
+  const std::string claims_detail = claims_mismatch();
   if (stop_the_world) {
-    mm.lock();
     dl.lock();
     pt.lock();
     hl.lock();
@@ -2013,6 +2058,9 @@ Kernel::InvariantReport Kernel::check_invariants(uint64_t expected_loose,
   } else if (rep.color_parked != colors_->total_parked()) {
     rep.ok = false;
     rep.detail = "color-list walk disagrees with its counter";
+  } else if (!claims_detail.empty()) {
+    rep.ok = false;
+    rep.detail = claims_detail;
   }
 
   if (stop_the_world) {

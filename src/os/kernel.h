@@ -69,11 +69,6 @@ inline constexpr uint64_t CLEAR_MEM_COLOR = 2ULL << kColorOpShift;
 inline constexpr uint64_t SET_LLC_COLOR = 3ULL << kColorOpShift;
 inline constexpr uint64_t CLEAR_LLC_COLOR = 4ULL << kColorOpShift;
 
-// The two color axes a task's placement is constrained on.
-enum class ColorDim : uint8_t {
-  kBank = 0,  // per-node bank colors (Eq. 1)
-  kLlc,       // machine-global LLC colors
-};
 inline constexpr uint64_t kColorMask = (1ULL << 32) - 1;
 
 inline constexpr VirtAddr kMmapFailed = ~0ULL;  // MAP_FAILED
@@ -331,13 +326,12 @@ class Kernel {
   Task& task(TaskId id) { return tasks_.at(id); }
   const Task& task(TaskId id) const { return tasks_.at(id); }
   size_t num_tasks() const { return tasks_.size(); }
-  // Task-exit hook: marks the task dead (control-plane observers like
-  // the ColorGuard and the admission controller skip dead tenants) and
-  // drains its page magazine back to the shared pools (the Task object
-  // itself lives for the kernel's lifetime, so only the cached frames
-  // need returning). Idempotent. Does NOT release the task's VMAs or
-  // colors -- callers that own the whole tenant lifecycle use
-  // reap_task() instead.
+  // Task-exit hook: marks the task dead (the ColorGuard never heals a
+  // dead tenant) and drains its page magazine back to the shared pools
+  // (the Task object itself lives for the kernel's lifetime, so only the
+  // cached frames need returning). Idempotent. Does NOT release the
+  // task's VMAs or colors: its colors stay claimed until reap_task(),
+  // which callers that own the whole tenant lifecycle use instead.
   void exit_task(TaskId id);
   // Liveness of a stored TaskId. Unknown / never-created ids report
   // dead rather than aborting, so observers may probe ids cached across
@@ -353,9 +347,9 @@ class Kernel {
   // cancels instead of migrating a corpse; any migration already in
   // flight resolves through the usual kMigrationRace/kInvalidArgument
   // envelope). Order: mark dead -> unmap every VMA the task created
-  // (freeing its frames) -> drain its magazine -> clear its colors (so
-  // a free-color scan over TCBs sees them released). Idempotent; a
-  // second reap finds nothing to release.
+  // (freeing its frames) -> drain its magazine -> clear its colors (which
+  // releases them in the claim table). Idempotent; a second reap finds
+  // nothing to release.
   struct ReapReport {
     bool was_alive = false;        // false on a repeated reap
     uint64_t vmas_unmapped = 0;    // VMAs this call released
@@ -363,6 +357,21 @@ class Kernel {
     unsigned colors_cleared = 0;   // bank + LLC colors dropped from the TCB
   };
   ReapReport reap_task(TaskId id);
+
+  // --- color claims ---
+  // A color is claimed while some TCB holds it, alive or not, until
+  // reap_task clears that TCB. Answered from the claim table (see
+  // ColorClaims in os/task.h), so the cost does not grow with the
+  // number of tasks ever created.
+  // Bank colors of `node` that no TCB holds and RAS has not retired,
+  // in bank order.
+  std::vector<uint16_t> free_bank_colors(unsigned node) const;
+  // LLC colors that no TCB holds, ascending.
+  std::vector<uint8_t> free_llc_colors() const;
+  // The tasks whose TCB holds `color` on axis `dim`, ascending TaskIds.
+  std::vector<TaskId> color_holders(ColorDim dim, unsigned color) const {
+    return claims_.holders(dim, color);
+  }
 
   // --- system calls ---
   // See file comment for the color-control encoding. For length > 0,
@@ -567,7 +576,8 @@ class Kernel {
   // actual lists: buddy free + color-parked + mapped + huge pool +
   // warm-up pins (+ `expected_loose` frames handed out through the raw
   // alloc_pages API without being mapped) must equal total frames, and
-  // no frame may appear in two pools at once.
+  // no frame may appear in two pools at once. Also rebuilds the color
+  // claim table from every task's TCB and fails on any difference.
   struct InvariantReport {
     bool ok = false;
     uint64_t total = 0;
@@ -700,6 +710,9 @@ class Kernel {
     ++stats_.failed_mmaps;
     return kMmapFailed;
   }
+  // check_invariants' claim-table audit: empty when the table equals a
+  // rebuild from every TCB, else the first color that differs.
+  std::string claims_mismatch() const;
   void set_last_error(AllocError why) {
     last_error_.store(why, std::memory_order_relaxed);
   }
@@ -785,6 +798,11 @@ class Kernel {
   std::unique_ptr<OffloadRings> offload_rings_;
   FailPoints fail_;
   std::atomic<AllocError> last_error_{AllocError::kOk};
+  // Every task's color sets, by color. Constructed after every other
+  // member: its tables allocated between the boot-sized ones above made
+  // glibc re-fault ~1,700 pages (~2 ms) of each kernel booted after
+  // another was destroyed (opteron6128 at 256 MB/node).
+  ColorClaims claims_;
   KernelStats stats_;
 };
 

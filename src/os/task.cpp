@@ -1,5 +1,7 @@
 #include "os/task.h"
 
+#include <algorithm>
+
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -7,8 +9,8 @@ namespace tint::os {
 
 Task::Task(TaskId id, unsigned core, unsigned local_node,
            unsigned num_bank_colors, unsigned num_llc_colors,
-           unsigned magazine_capacity)
-    : id_(id), core_(core), local_node_(local_node),
+           unsigned magazine_capacity, ColorClaims* claims)
+    : id_(id), core_(core), local_node_(local_node), claims_(claims),
       combo_cursor_(mix64(id) & 0xFFFF), magazine_(magazine_capacity) {
   auto init = std::make_unique<ColorSet>();
   init->mem_colors.assign(num_bank_colors, false);
@@ -18,6 +20,7 @@ Task::Task(TaskId id, unsigned core, unsigned local_node,
 }
 
 void Task::publish(std::unique_ptr<const ColorSet> next) {
+  if (claims_) claims_->update(id_, colors(), *next);
   colors_.store(next.get(), std::memory_order_release);
   color_history_.push_back(std::move(next));
 }
@@ -104,6 +107,30 @@ void Task::rebuild_lists(ColorSet& cs) {
   cs.using_llc = !cs.llc_list.empty();
 }
 
+void ColorClaims::update(TaskId task, const Task::ColorSet& before,
+                         const Task::ColorSet& after) {
+  const auto apply = [task](std::vector<std::vector<TaskId>>& holders,
+                            const std::vector<bool>& was,
+                            const std::vector<bool>& now) {
+    for (size_t c = 0; c < now.size(); ++c) {
+      if (was[c] == now[c]) continue;
+      std::vector<TaskId>& h = holders[c];
+      const auto it = std::lower_bound(h.begin(), h.end(), task);
+      if (now[c]) {
+        h.insert(it, task);
+      } else {
+        TINT_DASSERT(it != h.end() && *it == task);
+        h.erase(it);
+      }
+    }
+  };
+  std::lock_guard lk(mu_);
+  apply(holders_[static_cast<unsigned>(ColorDim::kBank)], before.mem_colors,
+        after.mem_colors);
+  apply(holders_[static_cast<unsigned>(ColorDim::kLlc)], before.llc_colors,
+        after.llc_colors);
+}
+
 TaskTable::TaskTable()
     : chunks_(std::make_unique<std::atomic<Chunk*>[]>(kMaxChunks)) {
   for (unsigned i = 0; i < kMaxChunks; ++i)
@@ -117,7 +144,7 @@ TaskTable::~TaskTable() {
 
 TaskId TaskTable::create(unsigned core, unsigned local_node,
                          unsigned num_bank_colors, unsigned num_llc_colors,
-                         unsigned magazine_capacity) {
+                         unsigned magazine_capacity, ColorClaims* claims) {
   std::unique_lock lk(mu_);
   const uint32_t id = size_.load(std::memory_order_relaxed);
   TINT_ASSERT_MSG(id < kMaxChunks * kChunkSize, "task table full");
@@ -131,7 +158,7 @@ TaskId TaskTable::create(unsigned core, unsigned local_node,
   }
   c->slots[id & (kChunkSize - 1)] =
       std::make_unique<Task>(id, core, local_node, num_bank_colors,
-                             num_llc_colors, magazine_capacity);
+                             num_llc_colors, magazine_capacity, claims);
   // The slot write happens-before this release; at() checks the bound
   // with acquire, so a visible id implies a visible Task.
   size_.store(id + 1, std::memory_order_release);

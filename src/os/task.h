@@ -18,9 +18,11 @@
 // ranked mutex, build the next snapshot aside, and publish it with one
 // release store. Old snapshots are retained for the task's lifetime
 // (color changes are rare control-plane events), so references handed
-// out by the accessors below never dangle. The `TaskTable` below makes
-// creation and lookup safe from any thread; lookups are lock-free (see
-// the class comment).
+// out by the accessors below never dangle. Every publish also updates
+// the kernel's `ColorClaims` table (when the task has one), so "who
+// holds color c" is answered without walking the tasks. The `TaskTable`
+// below makes creation and lookup safe from any thread; lookups are
+// lock-free (see the class comment).
 #pragma once
 
 #include <atomic>
@@ -34,6 +36,14 @@
 #include "util/lock_rank.h"
 
 namespace tint::os {
+
+// The two color axes a task's placement is constrained on.
+enum class ColorDim : uint8_t {
+  kBank = 0,  // per-node bank colors (Eq. 1)
+  kLlc,       // machine-global LLC colors
+};
+
+class ColorClaims;
 
 struct TaskAllocStats {
   std::atomic<uint64_t> page_faults{0};
@@ -101,8 +111,10 @@ class Task {
     std::vector<uint8_t> llc_list;
   };
 
+  // `claims` (may be null) is updated on every color-set change.
   Task(TaskId id, unsigned core, unsigned local_node, unsigned num_bank_colors,
-       unsigned num_llc_colors, unsigned magazine_capacity = 0);
+       unsigned num_llc_colors, unsigned magazine_capacity = 0,
+       ColorClaims* claims = nullptr);
 
   TaskId id() const { return id_; }
   unsigned core() const { return core_; }
@@ -176,12 +188,14 @@ class Task {
  private:
   // Builds the materialized lists and flags of `cs` from its bitmaps.
   static void rebuild_lists(ColorSet& cs);
-  // Publishes `next` as the current snapshot. Caller holds color_mu_.
+  // Publishes `next` as the current snapshot and moves this task's
+  // entries in the claim table to match. Caller holds color_mu_.
   void publish(std::unique_ptr<const ColorSet> next);
 
   TaskId id_;
   unsigned core_;
   unsigned local_node_;
+  ColorClaims* claims_;
   // Writers only; readers go through the atomic pointer. Acquired while
   // the caller holds the mm lock shared (rank kMm < kTaskColors).
   util::RankedMutex<util::lock_rank::kTaskColors> color_mu_;
@@ -195,6 +209,36 @@ class Task {
   std::atomic<uint8_t> alive_{1};
   TaskAllocStats stats_;
   PageMagazine magazine_;
+};
+
+// The kernel's color claim table: for every bank color and every LLC
+// color, the ascending TaskIds whose TCB holds it. Task::publish keeps
+// it equal to the TCBs (dead tasks included: a color stays claimed
+// until reap_task clears the TCB), so admission and the ColorGuard ask
+// it instead of walking every task ever created. Kernel::check_invariants
+// rebuilds it from the TCBs and compares.
+class ColorClaims {
+ public:
+  ColorClaims(unsigned num_bank_colors, unsigned num_llc_colors)
+      : holders_{std::vector<std::vector<TaskId>>(num_bank_colors),
+                 std::vector<std::vector<TaskId>>(num_llc_colors)} {}
+
+  // Moves `task` from the colors of `before` to those of `after`.
+  void update(TaskId task, const Task::ColorSet& before,
+              const Task::ColorSet& after);
+
+  std::vector<TaskId> holders(ColorDim dim, unsigned color) const {
+    std::lock_guard lk(mu_);
+    return holders_[static_cast<unsigned>(dim)][color];
+  }
+  bool claimed(ColorDim dim, unsigned color) const {
+    std::lock_guard lk(mu_);
+    return !holders_[static_cast<unsigned>(dim)][color].empty();
+  }
+
+ private:
+  mutable util::RankedMutex<util::lock_rank::kColorClaims> mu_;
+  std::vector<std::vector<TaskId>> holders_[2];  // indexed by ColorDim
 };
 
 // Growable task registry safe for concurrent create + lookup (the
@@ -217,9 +261,10 @@ class TaskTable {
   TaskTable(const TaskTable&) = delete;
   TaskTable& operator=(const TaskTable&) = delete;
 
-  // Appends a task and returns its id.
+  // Appends a task and returns its id. The task keeps `claims` updated.
   TaskId create(unsigned core, unsigned local_node, unsigned num_bank_colors,
-                unsigned num_llc_colors, unsigned magazine_capacity = 0);
+                unsigned num_llc_colors, unsigned magazine_capacity,
+                ColorClaims* claims);
 
   Task& at(TaskId id) {
     TINT_ASSERT_MSG(id < size_.load(std::memory_order_acquire),

@@ -73,6 +73,10 @@ void AdmissionController::observe() {
 
 double AdmissionController::node_headroom(unsigned node) const {
   std::lock_guard lk(mu_);
+  return headroom_locked(node);
+}
+
+double AdmissionController::headroom_locked(unsigned node) const {
   const double cap = static_cast<double>(cfg_.channel_capacity) *
                      static_cast<double>(topo_.channels_per_node);
   if (cap <= 0.0) return 1.0;
@@ -84,35 +88,12 @@ size_t AdmissionController::live_tenants() const {
   return tenants_.size();
 }
 
-std::vector<uint16_t> AdmissionController::free_banks_locked(
-    unsigned node, const std::vector<uint8_t>& used_banks) const {
-  const hw::AddressMapping& map = kernel_.mapping();
-  std::vector<uint16_t> free;
-  for (unsigned i = 0; i < topo_.banks_per_node(); ++i) {
-    const unsigned c = map.make_bank_color(node, i);
-    if (used_banks[c] || kernel_.color_retired(c)) continue;
-    free.push_back(static_cast<uint16_t>(c));
-  }
-  return free;
-}
-
-std::vector<uint8_t> AdmissionController::free_llcs_locked(
-    const std::vector<uint8_t>& used_llcs) const {
-  std::vector<uint8_t> free;
-  for (unsigned c = 0; c < kernel_.mapping().num_llc_colors(); ++c)
-    if (!used_llcs[c]) free.push_back(static_cast<uint8_t>(c));
-  return free;
-}
-
-std::vector<unsigned> AdmissionController::placement_order_locked(
-    const std::vector<uint8_t>& used_banks) const {
+std::vector<unsigned> AdmissionController::placement_order_locked() const {
   // Bandwidth-aware placement: score = headroom * (1 + free colors).
   // Headroom dominates when the palette is roughly balanced -- a node
   // whose controllers run near the modeled channel capacity stops
   // receiving tenants even while it still has free colors. Ties break
   // on the lower node id, keeping placement deterministic.
-  const double cap = static_cast<double>(cfg_.channel_capacity) *
-                     static_cast<double>(topo_.channels_per_node);
   struct Scored {
     unsigned node;
     double score;
@@ -120,11 +101,9 @@ std::vector<unsigned> AdmissionController::placement_order_locked(
   std::vector<Scored> scored;
   for (unsigned node = 0; node < topo_.num_nodes(); ++node) {
     if (!kernel_.node_online(node)) continue;
-    const double headroom =
-        cap > 0.0 ? std::max(0.0, 1.0 - node_ewma_[node] / cap) : 1.0;
     const double free =
-        static_cast<double>(free_banks_locked(node, used_banks).size());
-    scored.push_back({node, headroom * (1.0 + free)});
+        static_cast<double>(kernel_.free_bank_colors(node).size());
+    scored.push_back({node, headroom_locked(node) * (1.0 + free)});
   }
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
     if (a.score != b.score) return a.score > b.score;
@@ -175,22 +154,11 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
   ticket.requested = cls;
   ticket.granted = cls;
 
-  // One scan of the live tasks yields the claimed palette. Dead tasks
-  // do not pin colors: reap_task clears the TCB claim, and a task that
-  // exited but was not reaped yet is skipped via task_alive. Scanning
-  // the kernel (not our registry) also counts colors claimed outside
-  // this controller -- manual Session::apply_colors users coexist.
-  const hw::AddressMapping& map = kernel_.mapping();
-  std::vector<uint8_t> used_banks(map.num_bank_colors(), 0);
-  std::vector<uint8_t> used_llcs(map.num_llc_colors(), 0);
-  for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id) {
-    if (!kernel_.task_alive(id)) continue;
-    const os::Task::ColorSet& cs = kernel_.task(id).colors();
-    for (const uint16_t c : cs.mem_list) used_banks[c] = 1;
-    for (const uint8_t c : cs.llc_list) used_llcs[c] = 1;
-  }
-
-  const std::vector<unsigned> order = placement_order_locked(used_banks);
+  // Free colors come from the kernel's claim table, not our registry:
+  // colors claimed outside this controller (manual
+  // Session::apply_colors users) count, and a task that exited keeps
+  // its colors until reap_task clears its TCB.
+  const std::vector<unsigned> order = placement_order_locked();
   if (order.empty()) {
     ticket.reason = kReasonNoNode;
     return ticket;
@@ -203,7 +171,7 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
     if (!banks.empty() || !llcs.empty()) {
       if (!kernel_.recolor_task(ticket.task, {}, banks, {}, llcs)) {
         // The kernel refused the claim (e.g. a color retired between the
-        // scan and the swap). Reap the fresh task and fail cleanly.
+        // query and the swap). Reap the fresh task and fail cleanly.
         kernel_.reap_task(ticket.task);
         ticket.reason = kReasonGrantFailed;
         return ticket;
@@ -226,13 +194,13 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
 
   switch (cls) {
     case TenantClass::kGuaranteed: {
-      const std::vector<uint8_t> llcs_all = free_llcs_locked(used_llcs);
+      const std::vector<uint8_t> llcs_all = kernel_.free_llc_colors();
       if (llcs_all.size() < cfg_.guaranteed.llcs) {
         ticket.reason = kReasonLlcsDry;
         return ticket;
       }
       for (const unsigned node : order) {
-        std::vector<uint16_t> banks = free_banks_locked(node, used_banks);
+        std::vector<uint16_t> banks = kernel_.free_bank_colors(node);
         if (banks.size() < cfg_.guaranteed.banks) continue;
         banks.resize(cfg_.guaranteed.banks);
         std::vector<uint8_t> llcs(llcs_all.begin(),
@@ -246,11 +214,11 @@ AdmissionTicket AdmissionController::attempt_locked(TenantClass cls) {
     }
     case TenantClass::kBurstable: {
       for (const unsigned node : order) {
-        std::vector<uint16_t> banks = free_banks_locked(node, used_banks);
+        std::vector<uint16_t> banks = kernel_.free_bank_colors(node);
         if (banks.empty()) continue;
         if (banks.size() > cfg_.burstable.banks)
           banks.resize(cfg_.burstable.banks);
-        std::vector<uint8_t> llcs = free_llcs_locked(used_llcs);
+        std::vector<uint8_t> llcs = kernel_.free_llc_colors();
         if (llcs.size() > cfg_.burstable.llcs) llcs.resize(cfg_.burstable.llcs);
         return grant(node, std::move(banks), std::move(llcs), kReasonGranted);
       }

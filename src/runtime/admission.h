@@ -200,15 +200,10 @@ class AdmissionController {
   // Pure admission attempt: grants + per-class admit accounting on
   // success, *no* reject accounting on failure (admit() does that).
   AdmissionTicket attempt_locked(TenantClass cls);
-  // Bank colors of `node` (ascending) held by no live task and not
-  // retired; `used_banks` is the live-holder scan done once per admit.
-  std::vector<uint16_t> free_banks_locked(
-      unsigned node, const std::vector<uint8_t>& used_banks) const;
-  std::vector<uint8_t> free_llcs_locked(
-      const std::vector<uint8_t>& used_llcs) const;
+  // Modeled bandwidth headroom of `node` in [0, 1] (1 = idle).
+  double headroom_locked(unsigned node) const;
   // Online nodes ordered best placement first.
-  std::vector<unsigned> placement_order_locked(
-      const std::vector<uint8_t>& used_banks) const;
+  std::vector<unsigned> placement_order_locked() const;
   os::TaskId spawn_locked(unsigned node);
 
   os::Kernel& kernel_;

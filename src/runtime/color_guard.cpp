@@ -238,16 +238,11 @@ void ColorGuard::heal_locked(uint64_t epoch, unsigned& budget) {
     // color (the collision the guard exists for), or one tenant's own
     // streams conflict with themselves (re-coloring cannot help -- the
     // traffic follows the tenant). Only heal collisions: >= 2 *live*
-    // holders. A tenant that exited between the sample and this step is
-    // skipped and counted -- its colors are mid-release and its TaskId
-    // must never be healed.
+    // holders. A holder that exited but was not reaped yet is skipped
+    // and counted -- its colors are mid-release and its TaskId must
+    // never be healed.
     std::vector<os::TaskId> holders;
-    for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id) {
-      const os::Task& t = kernel_.task(id);
-      const bool holds = h.dim == os::ColorDim::kLlc
-                             ? t.has_llc_color(h.color)
-                             : t.has_mem_color(h.color);
-      if (!holds) continue;
+    for (const os::TaskId id : kernel_.color_holders(h.dim, h.color)) {
       if (!kernel_.task_alive(id)) {
         stats_.stale_tenant_skips.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -350,22 +345,12 @@ std::optional<unsigned> ColorGuard::pick_replacement_locked(
     if (!t.has_llc_color(hot_color)) return std::nullopt;
     // No retirement axis (RAS retires banks, not cache slices) and no
     // node preference (every node sees the LLC).
-    const unsigned nl = mapping_.num_llc_colors();
-    std::vector<uint8_t> claimed(nl, 0);
-    for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id)
-      for (const uint8_t c : kernel_.task(id).llc_color_list()) claimed[c] = 1;
-    for (unsigned c = 0; c < nl; ++c)
-      if (!claimed[c] && !llc_hot(c)) return c;
+    for (const uint8_t c : kernel_.free_llc_colors())
+      if (!llc_hot(c)) return c;
     return std::nullopt;
   }
 
   if (!t.has_mem_color(hot_color)) return std::nullopt;
-  // Claimed by any task or retired by RAS.
-  std::vector<uint8_t> blocked(mapping_.num_bank_colors(), 0);
-  for (os::TaskId id = 0; id < kernel_.num_tasks(); ++id)
-    for (const uint16_t c : kernel_.task(id).mem_color_list()) blocked[c] = 1;
-  for (const unsigned c : kernel_.retired_colors()) blocked[c] = 1;
-
   std::vector<unsigned> nodes;
   const auto add_node = [&](unsigned n) {
     if (std::find(nodes.begin(), nodes.end(), n) == nodes.end())
@@ -377,10 +362,8 @@ std::optional<unsigned> ColorGuard::pick_replacement_locked(
 
   for (const unsigned node : nodes) {
     if (!kernel_.node_online(node)) continue;
-    for (unsigned b = 0; b < mapping_.banks_per_node(); ++b) {
-      const unsigned color = mapping_.make_bank_color(node, b);
-      if (!blocked[color] && !bank_hot(color)) return color;
-    }
+    for (const uint16_t color : kernel_.free_bank_colors(node))
+      if (!bank_hot(color)) return color;
   }
   return std::nullopt;
 }

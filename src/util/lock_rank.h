@@ -38,6 +38,8 @@ inline constexpr int kAdmission = 3;    // AdmissionController registry (calls
 inline constexpr int kMm = 10;          // Kernel VMA table + VA cursor
 inline constexpr int kTaskTable = 20;   // task-table growth (writers only)
 inline constexpr int kTaskColors = 25;  // one task's color-set writers
+inline constexpr int kColorClaims = 27; // kernel color claim table (taken
+                                        // inside kTaskColors on every publish)
 inline constexpr int kDefaultPath = 30; // kernel rng + region-node cache
 inline constexpr int kPageTable = 40;   // vpn -> pfn map
 inline constexpr int kHugePool = 50;    // boot-reserved 2 MB block stacks

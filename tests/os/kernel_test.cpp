@@ -82,6 +82,98 @@ TEST_F(KernelTest, ZeroLengthWithoutFlagFails) {
   EXPECT_EQ(k.mmap(t, 0, 0, 0), kMmapFailed);
 }
 
+// --- color claim table ---
+
+// After every color write, the kernel's claim queries must equal a
+// recompute from the TCBs (dead tasks included), and check_invariants
+// must agree.
+void expect_claims_match_tcbs(const Kernel& k, const hw::AddressMapping& map) {
+  std::vector<std::vector<TaskId>> banks(map.num_bank_colors());
+  std::vector<std::vector<TaskId>> llcs(map.num_llc_colors());
+  for (TaskId id = 0; id < k.num_tasks(); ++id) {
+    for (const uint16_t c : k.task(id).mem_color_list()) banks[c].push_back(id);
+    for (const uint8_t c : k.task(id).llc_color_list()) llcs[c].push_back(id);
+  }
+  for (unsigned c = 0; c < banks.size(); ++c)
+    EXPECT_EQ(k.color_holders(ColorDim::kBank, c), banks[c]) << "bank " << c;
+  for (unsigned c = 0; c < llcs.size(); ++c)
+    EXPECT_EQ(k.color_holders(ColorDim::kLlc, c), llcs[c]) << "llc " << c;
+  for (unsigned n = 0; n < map.num_nodes(); ++n) {
+    std::vector<uint16_t> free;
+    for (unsigned b = 0; b < map.banks_per_node(); ++b) {
+      const unsigned c = map.make_bank_color(n, b);
+      if (banks[c].empty() && !k.color_retired(c))
+        free.push_back(static_cast<uint16_t>(c));
+    }
+    EXPECT_EQ(k.free_bank_colors(n), free) << "node " << n;
+  }
+  std::vector<uint8_t> free_llcs;
+  for (unsigned c = 0; c < llcs.size(); ++c)
+    if (llcs[c].empty()) free_llcs.push_back(static_cast<uint8_t>(c));
+  EXPECT_EQ(k.free_llc_colors(), free_llcs);
+  const auto inv = k.check_invariants(0, /*stop_the_world=*/true);
+  EXPECT_TRUE(inv.ok) << inv.detail;
+}
+
+TEST_F(KernelTest, ClaimTableFollowsEveryColorWrite) {
+  Kernel k = make_kernel();
+  const TaskId a = k.create_task(0);
+  const TaskId b = k.create_task(1);
+  const TaskId c = k.create_task(2);
+  const auto ctl = [&](TaskId t, uint64_t op, unsigned color) {
+    ASSERT_NE(k.mmap(t, color | op, 0, PROT_COLOR_ALLOC), kMmapFailed);
+  };
+  expect_claims_match_tcbs(k, map_);
+
+  // Color-control set, both dimensions; a shared color lists both
+  // holders in TaskId order whatever order they claimed it in.
+  ctl(b, SET_MEM_COLOR, 3);
+  ctl(a, SET_MEM_COLOR, 3);
+  ctl(a, SET_LLC_COLOR, 5);
+  ctl(b, SET_LLC_COLOR, 2);
+  ctl(c, SET_MEM_COLOR, 12);
+  EXPECT_EQ(k.color_holders(ColorDim::kBank, 3), (std::vector<TaskId>{a, b}));
+  expect_claims_match_tcbs(k, map_);
+
+  // Color-control clear, both dimensions.
+  ctl(a, CLEAR_MEM_COLOR, 3);
+  ctl(b, CLEAR_LLC_COLOR, 2);
+  EXPECT_EQ(k.color_holders(ColorDim::kBank, 3), std::vector<TaskId>{b});
+  EXPECT_TRUE(k.color_holders(ColorDim::kLlc, 2).empty());
+  expect_claims_match_tcbs(k, map_);
+
+  // recolor_task swap on both axes.
+  ASSERT_TRUE(k.recolor_task(b, {3}, {9}, {}, {7}));
+  EXPECT_TRUE(k.color_holders(ColorDim::kBank, 3).empty());
+  EXPECT_EQ(k.color_holders(ColorDim::kBank, 9), std::vector<TaskId>{b});
+  EXPECT_EQ(k.color_holders(ColorDim::kLlc, 7), std::vector<TaskId>{b});
+  expect_claims_match_tcbs(k, map_);
+
+  // A rejected recolor (invalid color) changes nothing.
+  const std::vector<uint8_t> llcs_before = k.free_llc_colors();
+  const std::vector<uint16_t> banks_before = k.free_bank_colors(0);
+  EXPECT_FALSE(k.recolor_task(b, {9}, {999}));
+  EXPECT_FALSE(k.recolor_task(b, {}, {}, {7}, {200}));
+  EXPECT_EQ(k.free_llc_colors(), llcs_before);
+  EXPECT_EQ(k.free_bank_colors(0), banks_before);
+  EXPECT_EQ(k.color_holders(ColorDim::kBank, 9), std::vector<TaskId>{b});
+  expect_claims_match_tcbs(k, map_);
+
+  // An exited task keeps its claim until it is reaped.
+  k.exit_task(c);
+  EXPECT_EQ(k.color_holders(ColorDim::kBank, 12), std::vector<TaskId>{c});
+  expect_claims_match_tcbs(k, map_);
+
+  // reap_task clears the TCB and releases every claim.
+  k.reap_task(b);
+  k.reap_task(c);
+  EXPECT_TRUE(k.color_holders(ColorDim::kBank, 9).empty());
+  EXPECT_TRUE(k.color_holders(ColorDim::kLlc, 7).empty());
+  EXPECT_TRUE(k.color_holders(ColorDim::kBank, 12).empty());
+  EXPECT_EQ(k.color_holders(ColorDim::kLlc, 5), std::vector<TaskId>{a});
+  expect_claims_match_tcbs(k, map_);
+}
+
 // --- VMAs and touch/fault ---
 
 TEST_F(KernelTest, MmapReservesDistinctVmas) {

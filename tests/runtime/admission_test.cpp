@@ -2,9 +2,10 @@
 // budgets (guaranteed all-or-nothing, burstable partial grants and
 // downgrades, best-effort pass-through), deterministic behaviour at
 // color exhaustion, bandwidth-aware node placement, crash-consistent
-// teardown that returns the palette for re-admission, and the per-class
-// SLO rollup with ladder-counter conservation. Runs under the `qos`
-// ctest label.
+// teardown that returns the palette for re-admission, the per-class
+// SLO rollup with ladder-counter conservation, and agreement with the
+// ColorGuard that an exited but unreaped task keeps its colors. Runs
+// under the `qos` ctest label.
 #include "runtime/admission.h"
 
 #include <gtest/gtest.h>
@@ -280,6 +281,78 @@ TEST_F(AdmissionTest, GuardPrioritiesFollowGrantedClass) {
   // Teardown resets the slot: the TaskId's next owner starts unshielded.
   adm.teardown(g.task);
   EXPECT_EQ(guard.tenant_priority(g.task), 0u);
+}
+
+TEST_F(AdmissionTest, ExitedUnreapedHolderKeepsItsColorsFromAdmissionAndGuard) {
+  os::Kernel k = make_kernel();
+  GuardConfig gcfg;
+  gcfg.enabled = true;
+  ColorGuard guard(k, memsys_, gcfg);
+  AdmissionController adm(k, memsys_);
+
+  // A tenant claims bank color c and LLC color l through color-control
+  // mmap, then exits without being reaped: its TCB still holds both.
+  const unsigned c = map_.make_bank_color(0, 0);
+  const unsigned l = 0;
+  const os::TaskId ghost = k.create_task(0);
+  ASSERT_NE(k.mmap(ghost, c | os::SET_MEM_COLOR, 0, os::PROT_COLOR_ALLOC),
+            os::kMmapFailed);
+  ASSERT_NE(k.mmap(ghost, l | os::SET_LLC_COLOR, 0, os::PROT_COLOR_ALLOC),
+            os::kMmapFailed);
+  k.exit_task(ghost);
+
+  // The guard's replacement search skips them: c and l are the first
+  // candidates on their axes, so a heal that ignored the ghost would
+  // pick them.
+  const os::TaskId mover = k.create_task(0);
+  const unsigned hot_bank = map_.make_bank_color(0, 1);
+  const unsigned hot_llc = 1;
+  ASSERT_NE(k.mmap(mover, hot_bank | os::SET_MEM_COLOR, 0,
+                   os::PROT_COLOR_ALLOC),
+            os::kMmapFailed);
+  ASSERT_NE(k.mmap(mover, hot_llc | os::SET_LLC_COLOR, 0,
+                   os::PROT_COLOR_ALLOC),
+            os::kMmapFailed);
+  ASSERT_TRUE(guard.start_heal(mover, hot_bank));
+  EXPECT_FALSE(k.task(mover).has_mem_color(c));
+  EXPECT_TRUE(k.task(mover).has_mem_color(map_.make_bank_color(0, 2)));
+  guard.run_epoch();  // nothing to migrate: the heal completes
+  ASSERT_EQ(guard.tenant_phase(mover), ColorGuard::TenantPhase::kCooldown);
+  for (unsigned e = 0; e < gcfg.cooldown_epochs; ++e) guard.run_epoch();
+  ASSERT_TRUE(guard.start_heal(mover, hot_llc, os::ColorDim::kLlc));
+  EXPECT_FALSE(k.task(mover).has_llc_color(l));
+  EXPECT_TRUE(k.task(mover).has_llc_color(2));
+
+  // Admission agrees: neither class is ever granted c or l, all the way
+  // to exhaustion.
+  const auto expect_not_granted = [&](const AdmissionTicket& t) {
+    for (const uint16_t b : t.banks) EXPECT_NE(b, c);
+    for (const uint8_t x : t.llcs) EXPECT_NE(x, l);
+  };
+  unsigned guaranteed = 0;
+  for (AdmissionTicket t = adm.admit(TenantClass::kGuaranteed); t.admitted;
+       t = adm.admit(TenantClass::kGuaranteed)) {
+    expect_not_granted(t);
+    ASSERT_LT(++guaranteed, 8u);
+  }
+  EXPECT_EQ(guaranteed, 3u);
+  unsigned burstable = 0;
+  for (AdmissionTicket t = adm.admit(TenantClass::kBurstable);
+       !t.downgraded; t = adm.admit(TenantClass::kBurstable)) {
+    ASSERT_TRUE(t.admitted) << t.reason;
+    expect_not_granted(t);
+    ASSERT_LT(++burstable, 16u);
+  }
+  EXPECT_GT(burstable, 0u);
+  const auto inv = k.check_invariants();
+  EXPECT_TRUE(inv.ok) << inv.detail;
+
+  // Reaping the ghost clears its TCB, and c is granted again.
+  k.reap_task(ghost);
+  const AdmissionTicket after = adm.admit(TenantClass::kBurstable);
+  ASSERT_TRUE(after.admitted) << after.reason;
+  EXPECT_FALSE(after.downgraded);
+  EXPECT_EQ(after.banks, std::vector<uint16_t>{static_cast<uint16_t>(c)});
 }
 
 }  // namespace
