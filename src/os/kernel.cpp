@@ -9,7 +9,6 @@ namespace tint::os {
 namespace {
 using MmLock = util::RankedSharedMutex<util::lock_rank::kMm>;
 using DefaultLock = util::RankedMutex<util::lock_rank::kDefaultPath>;
-using PtLock = util::RankedSharedMutex<util::lock_rank::kPageTable>;
 using HugeLock = util::RankedMutex<util::lock_rank::kHugePool>;
 using RasLock = util::RankedMutex<util::lock_rank::kRas>;
 }  // namespace
@@ -316,59 +315,63 @@ VirtAddr Kernel::mmap(TaskId task_id, uint64_t addr_or_color, uint64_t length,
 bool Kernel::munmap(TaskId task_id, VirtAddr base, uint64_t length) {
   (void)task_id;  // any task of the process may unmap
   ++stats_.munmap_calls;
-  // Exclusive mm hold for the whole teardown: in-flight faults hold the
-  // mm lock shared end-to-end, so by the time we own it exclusively no
-  // fault can still be installing frames into this VMA.
-  std::unique_lock mm(mm_lock_);
-  const auto it = vmas_.find(base);
-  if (it == vmas_.end()) {
-    // Unknown base: reject like EINVAL instead of aborting.
-    set_last_error(AllocError::kInvalidArgument);
-    ++stats_.failed_munmaps;
-    return false;
+  bool huge;
+  uint64_t len;
+  {
+    // Exclusive mm hold only to find, validate and erase the VMA:
+    // in-flight faults hold the mm lock shared end-to-end, so by the
+    // time we own it exclusively no fault can still be installing frames
+    // into this VMA, and once it is erased no new fault can start there.
+    std::unique_lock mm(mm_lock_);
+    const auto it = vmas_.find(base);
+    if (it == vmas_.end()) {
+      // Unknown base: reject like EINVAL instead of aborting.
+      set_last_error(AllocError::kInvalidArgument);
+      ++stats_.failed_munmaps;
+      return false;
+    }
+    huge = it->second.huge;
+    const uint64_t gran = huge ? kHugeBytes : topo_.page_bytes();
+    len = (length + gran - 1) & ~(gran - 1);
+    if (len != it->second.length) {
+      // Partial unmaps are not supported; reject instead of aborting.
+      set_last_error(AllocError::kInvalidArgument);
+      ++stats_.failed_munmaps;
+      return false;
+    }
+    vmas_.erase(it);
   }
-  const uint64_t gran = it->second.huge ? kHugeBytes : topo_.page_bytes();
-  const uint64_t len = (length + gran - 1) & ~(gran - 1);
-  if (len != it->second.length) {
-    // Partial unmaps are not supported; reject instead of aborting.
-    set_last_error(AllocError::kInvalidArgument);
-    ++stats_.failed_munmaps;
-    return false;
-  }
-  if (it->second.huge) {
+  // Teardown under a *shared* hold: faults in other VMAs keep running,
+  // while the stop-the-world walk (mm exclusive) still drains it, so each
+  // frame leaves the page table and reaches a pool inside this one hold.
+  // Until then the erased VMA's pages simply count as mapped; VAs are
+  // never reused (va_cursor_ only grows), so nothing can fault them in
+  // again meanwhile.
+  std::shared_lock mm(mm_lock_);
+  if (huge) {
     // Free whole 2 MB blocks (all-or-nothing mappings).
     const uint64_t pages_per_huge = kHugeBytes / topo_.page_bytes();
-    std::vector<Pfn> heads;
-    {
-      std::unique_lock pt(pt_lock_);
-      for (VirtAddr va = base; va < base + len; va += kHugeBytes) {
-        const auto head = page_table_.unmap(page_table_.vpn_of(va));
-        if (!head) continue;
-        for (uint64_t i = 1; i < pages_per_huge; ++i)
-          page_table_.unmap(page_table_.vpn_of(va + i * topo_.page_bytes()));
-        heads.push_back(*head);
-      }
-    }
-    const uint64_t pph = kHugeBytes / topo_.page_bytes();
-    for (const Pfn head : heads) {
-      for (uint64_t i = 0; i < pph; ++i) {
-        pages_[head + i].owner = kNoTask;
-        pages_[head + i].state = PageState::kBuddyFree;
-        pages_[head + i].huge = false;
+    for (VirtAddr va = base; va < base + len; va += kHugeBytes) {
+      const uint64_t head_vpn = page_table_.vpn_of(va);
+      const auto head = page_table_.unmap(head_vpn);
+      if (!head) continue;
+      for (uint64_t i = 1; i < pages_per_huge; ++i)
+        page_table_.unmap(head_vpn + i);
+      for (uint64_t i = 0; i < pages_per_huge; ++i) {
+        pages_[*head + i].owner = kNoTask;
+        pages_[*head + i].state = PageState::kBuddyFree;
+        pages_[*head + i].huge = false;
       }
       // Huge frames return to the reserved pool, not the 4 KB buddy.
       std::lock_guard<HugeLock> hl(huge_lock_);
-      huge_pool_[head / topo_.pages_per_node()].push_back(head);
+      huge_pool_[*head / topo_.pages_per_node()].push_back(*head);
     }
   } else {
-    std::vector<Pfn> freed;
-    {
-      std::unique_lock pt(pt_lock_);
-      for (VirtAddr va = base; va < base + len; va += gran)
-        if (const auto pfn = page_table_.unmap(page_table_.vpn_of(va)))
-          freed.push_back(*pfn);
-    }
-    for (const Pfn pfn : freed) free_pages(pfn, 0);
+    // One shard hold per page; buddy and color-shard locks are never
+    // nested inside a page-table shard on this path.
+    for (VirtAddr va = base; va < base + len; va += topo_.page_bytes())
+      if (const auto pfn = page_table_.unmap(page_table_.vpn_of(va)))
+        free_pages(*pfn, 0);
   }
   // Drop the cached default-path node decisions for the unmapped region
   // range so the cache stays bounded by the live VMA footprint (and a
@@ -380,7 +383,6 @@ bool Kernel::munmap(TaskId task_id, VirtAddr base, uint64_t length) {
     std::lock_guard<DefaultLock> dl(default_lock_);
     for (uint64_t r = first; r <= last; ++r) region_node_.erase(r);
   }
-  vmas_.erase(it);
   invalidate_tlb();
   set_last_error(AllocError::kOk);
   return true;
@@ -419,7 +421,6 @@ void Kernel::tlb_fill(uint64_t vpn, Pfn pfn, uint64_t epoch) {
 }
 
 std::optional<uint64_t> Kernel::translate(VirtAddr va) const {
-  std::shared_lock pt(pt_lock_);
   return page_table_.translate(va);
 }
 
@@ -435,11 +436,7 @@ Kernel::TouchResult Kernel::touch(TaskId task_id, VirtAddr va, bool write) {
   // Epoch for any TLB fill below: loaded before the translation it
   // caches is read (see tlb_fill).
   const uint64_t epoch = tlb_epoch_.load(std::memory_order_acquire);
-  std::optional<uint64_t> translated;
-  {
-    std::shared_lock pt(pt_lock_);
-    translated = page_table_.translate(va);
-  }
+  const std::optional<uint64_t> translated = page_table_.translate(va);
   if (translated) {
     const Pfn pfn = static_cast<Pfn>(*translated >> topo_.page_bits);
     // RAS detection point: does this mapped frame report a DRAM error?
@@ -516,17 +513,13 @@ Kernel::TouchResult Kernel::touch(TaskId task_id, VirtAddr va, bool write) {
     return res;
   }
   // Frame metadata is written *before* the mapping is published: any
-  // thread that can observe the translation (under the page-table lock)
-  // then also observes an initialized PageInfo.
+  // thread that can observe the translation (under its page-table
+  // shard lock) then also observes an initialized PageInfo.
   PageInfo& pi = pages_[out.pfn];
   pi.state = PageState::kAllocated;
   pi.owner = task_id;
   pi.colored_alloc = out.colored;
-  Pfn winner;
-  {
-    std::unique_lock pt(pt_lock_);
-    winner = page_table_.map_or_get(want_vpn, out.pfn);
-  }
+  const Pfn winner = page_table_.map_or_get(want_vpn, out.pfn);
   if (winner != out.pfn) {
     // Another thread faulted the same page first: undo our allocation
     // and adopt the winner's translation. Never taken serially.
@@ -595,12 +588,13 @@ Kernel::TouchResult Kernel::fault_huge(Task& t, VirtAddr va,
     preferred = pick_default_node(t, head_vpn);
   }
   // Racing faults of one 2 MB block resolve *before* any of them takes a
-  // block: the page-table lock is held exclusively from the mapping check
-  // through the publish, so a loser never holds a pool block and never
-  // sees the pool drained by blocks that are about to come back
-  // (DESIGN.md section 10; ranks kPageTable < kHugePool < kBuddyZone).
-  std::unique_lock pt(pt_lock_);
-  if (const auto winner = page_table_.lookup(huge_base)) {
+  // block: every page-table shard is held exclusively from the mapping
+  // check through the publish (the 512 pages span all shards), so a
+  // loser never holds a pool block and never sees the pool drained by
+  // blocks that are about to come back (DESIGN.md section 10; ranks
+  // kPageTable < kHugePool < kBuddyZone).
+  std::unique_lock pt(page_table_);
+  if (const auto winner = page_table_.find(head_vpn)) {
     // Another thread faulted this 2 MB block first: adopt its frames.
     // Never taken serially.
     pt.unlock();
@@ -1556,18 +1550,18 @@ bool Kernel::recolor_task(TaskId task_id,
 std::vector<VirtAddr> Kernel::pages_of_task_color(TaskId task, unsigned color,
                                                   ColorDim dim) const {
   std::vector<VirtAddr> out;
-  // The page-table lock pins the mapping set; a mapped frame's metadata
-  // is stable while we hold it (map/remap/unmap all take it exclusive,
-  // and PageInfo is written before a mapping is published).
-  std::shared_lock pt(pt_lock_);
-  for (const auto& [vpn, pfn] : page_table_.mappings()) {
+  // The whole-table hold pins the mapping set; a mapped frame's metadata
+  // is stable while we hold it (map/remap/unmap all take their shard
+  // exclusive, and PageInfo is written before a mapping is published).
+  std::shared_lock pt(page_table_);
+  page_table_.for_each([&](uint64_t vpn, Pfn pfn) {
     const PageInfo& pi = pages_[pfn];
-    if (pi.huge || pi.owner != task || !pi.colored_alloc) continue;
+    if (pi.huge || pi.owner != task || !pi.colored_alloc) return;
     const unsigned c = dim == ColorDim::kLlc ? pi.llc_color : pi.bank_color;
-    if (c != color) continue;
+    if (c != color) return;
     out.push_back(static_cast<VirtAddr>(vpn) << topo_.page_bits);
-  }
-  // mappings() iterates in hash order; sort so callers migrate in a
+  });
+  // for_each() iterates in hash order; sort so callers migrate in a
   // stable, deterministic sequence.
   std::sort(out.begin(), out.end());
   return out;
@@ -1584,11 +1578,7 @@ AllocError Kernel::hard_offline_page(VirtAddr va) {
   if (!cfg_.ras.enabled) return AllocError::kInvalidArgument;
   std::shared_lock mm(mm_lock_);
   const uint64_t vpn = page_table_.vpn_of(va);
-  Pfn pfn = kNoPage;
-  {
-    std::shared_lock pt(pt_lock_);
-    if (const auto p = page_table_.lookup(va)) pfn = *p;
-  }
+  const Pfn pfn = page_table_.lookup(va).value_or(kNoPage);
   if (pfn == kNoPage || pages_[pfn].huge) return AllocError::kInvalidArgument;
   return hard_offline_locked(vpn, pfn) ? AllocError::kOk
                                        : AllocError::kMigrationRace;
@@ -1602,12 +1592,12 @@ Kernel::MigrateResult Kernel::migrate_locked(VirtAddr va, bool poison_old,
   bool huge = false;
   TaskId owner = kNoTask;
   {
-    // The frame's metadata is read under the same hold that found the
-    // mapping: a concurrent migration must take pt_lock_ exclusively to
-    // remap the page before it frees old_pfn, so the frame cannot be
-    // recycled while this hold lasts.
-    std::shared_lock pt(pt_lock_);
-    if (const auto p = page_table_.lookup(va)) {
+    // The frame's metadata is read under the same shard hold that found
+    // the mapping: a concurrent migration or munmap must take this shard
+    // exclusively to remap or unmap the page before it frees old_pfn, so
+    // the frame cannot be recycled while this hold lasts.
+    std::shared_lock pt(page_table_.shard_lock(vpn));
+    if (const auto p = page_table_.find(vpn)) {
       old_pfn = *p;
       huge = pages_[old_pfn].huge;
       owner = pages_[old_pfn].owner;
@@ -1654,12 +1644,7 @@ Kernel::MigrateResult Kernel::migrate_locked(VirtAddr va, bool poison_old,
   // The commit point: swap the translation iff it still maps the frame
   // we read above. A concurrent migration or munmap makes this fail --
   // discard the replacement and report instead of corrupting the swap.
-  bool swapped;
-  {
-    std::unique_lock pt(pt_lock_);
-    swapped = page_table_.remap(vpn, old_pfn, out.pfn);
-  }
-  if (!swapped) {
+  if (!page_table_.remap(vpn, old_pfn, out.pfn)) {
     ++stats_.migration_races;
     free_pages(out.pfn, 0);
     res.error = AllocError::kMigrationRace;
@@ -1685,12 +1670,7 @@ bool Kernel::hard_offline_locked(uint64_t vpn, Pfn expected) {
   // Drop the mapping iff it still points at the dead frame; a concurrent
   // migration/munmap got there first otherwise and the frame is no
   // longer ours to quarantine.
-  bool unmapped;
-  {
-    std::unique_lock pt(pt_lock_);
-    unmapped = page_table_.unmap_if(vpn, expected);
-  }
-  if (!unmapped) {
+  if (!page_table_.unmap_if(vpn, expected)) {
     ++stats_.migration_races;
     return false;
   }
@@ -1725,7 +1705,7 @@ Kernel::ScrubReport Kernel::scrub() {
   {
     std::unique_lock<MmLock> mm(mm_lock_);
     std::unique_lock<DefaultLock> dl(default_lock_);
-    std::unique_lock<PtLock> pt(pt_lock_);
+    std::unique_lock pt(page_table_);
     std::unique_lock<HugeLock> hl(huge_lock_);
     // Offload rings are a frame pool too (rank kOffloadRing, below the
     // magazines): a faulty frame must not ride out every pass stocked
@@ -1768,12 +1748,12 @@ Kernel::ScrubReport Kernel::scrub() {
               free_victims.push_back(
                   {static_cast<Pfn>(v)});  // ring steal reaches in later
       }
-    for (const auto& [vpn, pfn] : page_table_.mappings()) {
-      if (pages_[pfn].huge) continue;  // 2 MB frames are exempt
+    page_table_.for_each([&](uint64_t vpn, Pfn pfn) {
+      if (pages_[pfn].huge) return;  // 2 MB frames are exempt
       const sim::FrameHealth h = model->frame_health(frame_base(pfn));
       if (h != sim::FrameHealth::kHealthy)
         mapped_victims.push_back({vpn, pfn, h});
-    }
+    });
     buddy_->thaw();
     colors_->thaw();
     for (size_t i = ntasks; i-- > 0;)
@@ -1812,14 +1792,6 @@ Kernel::ScrubReport Kernel::scrub() {
     }
   }
   return rep;
-}
-
-std::vector<uint16_t> Kernel::retired_colors() const {
-  std::vector<uint16_t> out;
-  for (unsigned c = 0; c < mapping_.num_bank_colors(); ++c)
-    if (color_retired_[c].load(std::memory_order_acquire) != 0)
-      out.push_back(static_cast<uint16_t>(c));
-  return out;
 }
 
 std::vector<uint16_t> Kernel::free_bank_colors(unsigned node) const {
@@ -1872,15 +1844,16 @@ uint64_t Kernel::poisoned_frames() const {
 Kernel::InvariantReport Kernel::check_invariants(uint64_t expected_loose,
                                                  bool stop_the_world) const {
   // Stop-the-world mode freezes the entire allocation path in ascending
-  // rank order (mm -> default -> page table -> huge pool -> color shards
-  // -> buddy zones), so the structural walk below is sound while real
-  // threads keep running: faults hold the mm lock shared end-to-end, so
-  // the exclusive acquisition drains every in-flight fault first. Raw
-  // alloc_pages/free_pages callers are not covered by the mm lock; the
-  // caller quiesces them (or passes their frames as expected_loose).
+  // rank order (mm -> default -> page-table shards -> huge pool -> color
+  // shards -> buddy zones), so the structural walk below is sound while
+  // real threads keep running: faults and munmap's teardown hold the mm
+  // lock shared end-to-end, so the exclusive acquisition drains every
+  // in-flight fault and unmap first. Raw alloc_pages/free_pages callers
+  // are not covered by the mm lock; the caller quiesces them (or passes
+  // their frames as expected_loose).
   std::unique_lock<MmLock> mm(mm_lock_, std::defer_lock);
   std::unique_lock<DefaultLock> dl(default_lock_, std::defer_lock);
-  std::unique_lock<PtLock> pt(pt_lock_, std::defer_lock);
+  std::unique_lock pt(page_table_, std::defer_lock);
   std::unique_lock<HugeLock> hl(huge_lock_, std::defer_lock);
   std::unique_lock<RasLock> rl(ras_lock_, std::defer_lock);
   size_t ntasks = 0;
@@ -1984,10 +1957,10 @@ Kernel::InvariantReport Kernel::check_invariants(uint64_t expected_loose,
       }
     }
   }
-  for (const auto& [vpn, pfn] : page_table_.mappings()) {
+  page_table_.for_each([&](uint64_t, Pfn pfn) {
     ++rep.mapped;
     claim(pfn, kMapped);
-  }
+  });
   const uint64_t pages_per_huge = kHugeBytes / topo_.page_bytes();
   for (const auto& pool : huge_pool_)
     for (const Pfn head : pool) {

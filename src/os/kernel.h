@@ -568,7 +568,6 @@ class Kernel {
     TINT_DASSERT(bank_color < mapping_.num_bank_colors());
     return color_retired_[bank_color].load(std::memory_order_acquire) != 0;
   }
-  std::vector<uint16_t> retired_colors() const;
   uint64_t poisoned_frames() const;
 
   // --- frame-accounting invariants ---
@@ -723,20 +722,19 @@ class Kernel {
   std::vector<PageInfo> pages_;
   std::unique_ptr<BuddyAllocator> buddy_;
   std::unique_ptr<ColorLists> colors_;
-  PageTable page_table_;
+  PageTable page_table_;  // sharded; each shard carries its own lock
   TaskTable tasks_;
 
   // --- locks (ranks from util/lock_rank.h; full contract in DESIGN.md
   // section 10) ---
   // mm lock: VMA table + VA cursor. Faults hold it shared end-to-end
-  // (like Linux's mmap_lock), mmap/munmap hold it exclusive -- which is
-  // also what lets the stop-the-world invariant walk drain in-flight
-  // faults.
+  // (like Linux's mmap_lock), mmap holds it exclusive, munmap exclusive
+  // only to erase the VMA and then shared to unmap and free its frames
+  // -- which is also what lets the stop-the-world invariant walk drain
+  // in-flight faults and unmaps.
   mutable util::RankedSharedMutex<util::lock_rank::kMm> mm_lock_;
   // Default-path state: kernel rng + per-region node cache.
   mutable util::RankedMutex<util::lock_rank::kDefaultPath> default_lock_;
-  // Page-table lock: shared for translation, exclusive for map/unmap.
-  mutable util::RankedSharedMutex<util::lock_rank::kPageTable> pt_lock_;
   // Huge-pool lock: the per-node reserved 2 MB block stacks.
   mutable util::RankedMutex<util::lock_rank::kHugePool> huge_lock_;
   // RAS lock: the poisoned-frame set and per-color poison counts. Held

@@ -5,17 +5,27 @@
 // Linux/TintMalloc first-touch semantics: the *faulting* task's policy
 // decides the frame, no matter which task created the VMA.
 //
-// The table itself is an unlocked data structure; the kernel guards all
-// access with its page-table lock (rank kPageTable, see util/lock_rank.h
-// and DESIGN.md section 10), shared for translation, exclusive for
-// map/unmap.
+// The table is split into kShards shards keyed by `vpn % kShards`, each
+// a hash map behind its own shared mutex (rank kPageTable, see
+// util/lock_rank.h and DESIGN.md section 10). Single-vpn operations lock
+// only their own shard: shared to translate, exclusive to map or unmap,
+// so faults of different pages never wait on each other. Keyed by page,
+// not by 2 MB region: consecutive VMAs of different threads share
+// regions. Whole-table holders (stop-the-world walks, the scrubber's
+// sweep, pages_of_task_color, a huge fault's check-through-publish) use
+// the table as a SharedLockable: lock()/lock_shared() take every shard
+// in ascending index order, the equal-rank rule of DESIGN.md section 10.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "os/page.h"
+#include "util/lock_rank.h"
 
 namespace tint::os {
 
@@ -23,30 +33,31 @@ using VirtAddr = uint64_t;
 
 class PageTable {
  public:
+  static constexpr unsigned kShards = 64;  // power of two
+  using ShardLock = util::RankedSharedMutex<util::lock_rank::kPageTable>;
+
   explicit PageTable(unsigned page_bits) : page_bits_(page_bits) {
-    map_.reserve(1 << 16);
+    // Boot-sized buckets, split evenly: a table that grows from empty
+    // rehashes through the fault path, and its freed bucket arrays
+    // change the heap layout of every later boot in the process.
+    for (Shard& s : shards_) s.map.reserve((1 << 16) / kShards);
   }
 
   uint64_t vpn_of(VirtAddr va) const { return va >> page_bits_; }
 
   // Returns the mapped pfn for the page containing `va`, if any.
   std::optional<Pfn> lookup(VirtAddr va) const {
-    const auto it = map_.find(vpn_of(va));
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
+    const uint64_t vpn = vpn_of(va);
+    std::shared_lock lk(shard_lock(vpn));
+    return find(vpn);
   }
 
   // Full translation including the page offset.
   std::optional<uint64_t> translate(VirtAddr va) const {
-    const auto it = map_.find(vpn_of(va));
-    if (it == map_.end()) return std::nullopt;
-    return (static_cast<uint64_t>(it->second) << page_bits_) |
+    const auto pfn = lookup(va);
+    if (!pfn) return std::nullopt;
+    return (static_cast<uint64_t>(*pfn) << page_bits_) |
            (va & ((1ULL << page_bits_) - 1));
-  }
-
-  void map(uint64_t vpn, Pfn pfn) {
-    const bool inserted = map_.emplace(vpn, pfn).second;
-    TINT_ASSERT_MSG(inserted, "double mapping of a virtual page");
   }
 
   // Maps vpn -> pfn unless vpn is already mapped; returns the winning
@@ -54,7 +65,9 @@ class PageTable {
   // faulting the same page concurrently: the loser frees its frame and
   // adopts the winner's mapping instead of aborting.
   Pfn map_or_get(uint64_t vpn, Pfn pfn) {
-    return map_.emplace(vpn, pfn).first->second;
+    Shard& s = shard(vpn);
+    std::unique_lock lk(s.mu);
+    return s.map.emplace(vpn, pfn).first->second;
   }
 
   // Swaps vpn's frame from `expected` to `replacement` -- the live-
@@ -62,8 +75,10 @@ class PageTable {
   // is unmapped or maps a different frame: the caller lost the race to a
   // concurrent migration or munmap and must discard its replacement.
   bool remap(uint64_t vpn, Pfn expected, Pfn replacement) {
-    const auto it = map_.find(vpn);
-    if (it == map_.end() || it->second != expected) return false;
+    Shard& s = shard(vpn);
+    std::unique_lock lk(s.mu);
+    const auto it = s.map.find(vpn);
+    if (it == s.map.end() || it->second != expected) return false;
     it->second = replacement;
     return true;
   }
@@ -71,29 +86,89 @@ class PageTable {
   // Removes vpn's mapping only while it still maps `expected` -- the
   // hard-offline commit point (the conditional twin of remap()).
   bool unmap_if(uint64_t vpn, Pfn expected) {
-    const auto it = map_.find(vpn);
-    if (it == map_.end() || it->second != expected) return false;
-    map_.erase(it);
+    Shard& s = shard(vpn);
+    std::unique_lock lk(s.mu);
+    const auto it = s.map.find(vpn);
+    if (it == s.map.end() || it->second != expected) return false;
+    s.map.erase(it);
     return true;
   }
 
   // Removes a mapping; returns the pfn that was mapped, if any.
   std::optional<Pfn> unmap(uint64_t vpn) {
-    const auto it = map_.find(vpn);
-    if (it == map_.end()) return std::nullopt;
+    Shard& s = shard(vpn);
+    std::unique_lock lk(s.mu);
+    const auto it = s.map.find(vpn);
+    if (it == s.map.end()) return std::nullopt;
     const Pfn pfn = it->second;
-    map_.erase(it);
+    s.map.erase(it);
     return pfn;
   }
 
-  size_t mapped_pages() const { return map_.size(); }
+  // Sum over the shards, each read under its own shared hold.
+  size_t mapped_pages() const {
+    size_t n = 0;
+    for (const Shard& s : shards_) {
+      std::shared_lock lk(s.mu);
+      n += s.map.size();
+    }
+    return n;
+  }
 
-  // Read-only view of every live vpn -> pfn mapping (invariant checker).
-  const std::unordered_map<uint64_t, Pfn>& mappings() const { return map_; }
+  // --- unlocked access: the caller holds vpn's shard (shard_lock) or
+  // the whole table, or owns the table alone ---
+  ShardLock& shard_lock(uint64_t vpn) const { return shard(vpn).mu; }
+
+  std::optional<Pfn> find(uint64_t vpn) const {
+    const Shard& s = shard(vpn);
+    const auto it = s.map.find(vpn);
+    if (it == s.map.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void map(uint64_t vpn, Pfn pfn) {
+    const bool inserted = shard(vpn).map.emplace(vpn, pfn).second;
+    TINT_ASSERT_MSG(inserted, "double mapping of a virtual page");
+  }
+
+  // Calls fn(vpn, pfn) once per live mapping, shard by shard in hash
+  // order (invariant checker, scrubber, quiescent test audits).
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const Shard& s : shards_)
+      for (const auto& [vpn, pfn] : s.map) fn(vpn, pfn);
+  }
+
+  // --- whole-table hold (SharedLockable): every shard, ascending index
+  // order; released in descending order ---
+  void lock() const {
+    for (const Shard& s : shards_) s.mu.lock();
+  }
+  void unlock() const {
+    for (unsigned i = kShards; i-- > 0;) shards_[i].mu.unlock();
+  }
+  void lock_shared() const {
+    for (const Shard& s : shards_) s.mu.lock_shared();
+  }
+  void unlock_shared() const {
+    for (unsigned i = kShards; i-- > 0;) shards_[i].mu.unlock_shared();
+  }
 
  private:
+  // Deliberately not alignas(64): an over-aligned shard makes the
+  // owning Kernel over-aligned, and its boot allocation then moves in
+  // glibc's heap (slower setup of every later kernel in the process).
+  struct Shard {
+    mutable ShardLock mu;
+    std::unordered_map<uint64_t, Pfn> map;
+  };
+  Shard& shard(uint64_t vpn) { return shards_[vpn & (kShards - 1)]; }
+  const Shard& shard(uint64_t vpn) const {
+    return shards_[vpn & (kShards - 1)];
+  }
+
   unsigned page_bits_;
-  std::unordered_map<uint64_t, Pfn> map_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace tint::os

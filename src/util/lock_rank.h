@@ -5,8 +5,9 @@
 // already holds. Ranks therefore form a global acquisition order and
 // make lock-ordering deadlocks structurally impossible. Locks of equal
 // rank may be held together only when acquired in ascending index order
-// (the stop-the-world freeze in Kernel::check_invariants is the one
-// place that does this, over the color-list shards and buddy zones).
+// (whole-page-table holds do this over the page-table shards, and the
+// stop-the-world freeze in Kernel::check_invariants also over the
+// color-list shards and buddy zones).
 //
 // The full ordering contract is documented in DESIGN.md section 10
 // ("Concurrency & lock ordering"); the constants below are the single
@@ -41,7 +42,7 @@ inline constexpr int kTaskColors = 25;  // one task's color-set writers
 inline constexpr int kColorClaims = 27; // kernel color claim table (taken
                                         // inside kTaskColors on every publish)
 inline constexpr int kDefaultPath = 30; // kernel rng + region-node cache
-inline constexpr int kPageTable = 40;   // vpn -> pfn map
+inline constexpr int kPageTable = 40;   // one vpn -> pfn page-table shard
 inline constexpr int kHugePool = 50;    // boot-reserved 2 MB block stacks
 inline constexpr int kRas = 55;         // poisoned-frame set + retirement
 inline constexpr int kOffloadRing = 56; // offload ring registry (engine side):

@@ -216,5 +216,62 @@ TEST_F(ConcurrentPressureTest, StopTheWorldWalksDuringHeapTraffic) {
   EXPECT_TRUE(rep.ok) << rep.detail;
 }
 
+// munmap erases its VMA under an exclusive mm hold but unmaps and frees
+// the frames under a shared one. Stop-the-world walks racing raw
+// mmap/touch/munmap loops must still never see a frame that has left
+// the page table but not yet reached a pool: each one would read as
+// loose. The checker walks again only after some munmap has finished
+// since its last walk, so the mappers always make progress between
+// walks (an unpaced checker can starve them on a loaded host).
+TEST_F(ConcurrentPressureTest, MunmapTeardownIsAtomicToStopTheWorldWalks) {
+  Kernel k(topo_, map_, {}, 31);
+  constexpr unsigned kMappers = 3;
+  constexpr unsigned kWalks = 300;
+  std::vector<TaskId> tasks;
+  for (unsigned i = 0; i < kMappers; ++i)
+    tasks.push_back(k.create_task(i % topo_.num_cores()));
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> munmaps{0};
+  std::thread checker([&] {
+    uint64_t seen = 0;
+    for (unsigned w = 0; w < kWalks; ++w) {
+      while (munmaps.load(std::memory_order_acquire) == seen)
+        std::this_thread::yield();
+      seen = munmaps.load(std::memory_order_acquire);
+      const auto rep = k.check_invariants(0, /*stop_the_world=*/true);
+      EXPECT_TRUE(rep.ok) << rep.detail;
+      EXPECT_EQ(rep.loose, 0u);
+    }
+    stop.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> threads;
+  for (unsigned ti = 0; ti < kMappers; ++ti) {
+    threads.emplace_back([&, ti] {
+      const TaskId t = tasks[ti];
+      const uint64_t page = topo_.page_bytes();
+      Rng rng(300 + ti);
+      while (!stop.load(std::memory_order_acquire)) {
+        const uint64_t len = (1 + rng.next_below(32)) * page;
+        const os::VirtAddr va = k.mmap(t, 0, len, 0);
+        ASSERT_NE(va, os::kMmapFailed);
+        for (uint64_t off = 0; off < len; off += page)
+          ASSERT_EQ(k.touch(t, va + off, true).error, AllocError::kOk);
+        ASSERT_TRUE(k.munmap(t, va, len));
+        munmaps.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  checker.join();
+
+  EXPECT_GE(munmaps.load(), uint64_t{kWalks});
+  EXPECT_EQ(k.page_table().mapped_pages(), 0u);
+  const auto rep = k.check_invariants(0, /*stop_the_world=*/true);
+  EXPECT_TRUE(rep.ok) << rep.detail;
+  EXPECT_EQ(rep.loose, 0u);
+}
+
 }  // namespace
 }  // namespace tint::core

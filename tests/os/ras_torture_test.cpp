@@ -147,18 +147,19 @@ TEST_F(RasTortureTest, FaultStormOnLiveColoredHeaps) {
   EXPECT_EQ(k.poisoned_frames(), s.frames_poisoned);  // nothing escapes
 
   // No mapping may survive pointing at a quarantined (or free) frame.
-  for (const auto& [vpn, pfn] : k.page_table().mappings())
+  k.page_table().for_each([&](uint64_t vpn, Pfn pfn) {
     ASSERT_EQ(k.pages()[pfn].state, PageState::kAllocated) << vpn;
+  });
 
   // Migrated/faulted colored pages satisfy their owner's constraint
   // whenever the colored stage served them; everything else is explained
   // by the ladder counters (widened/default/scavenged).
-  for (const auto& [vpn, pfn] : k.page_table().mappings()) {
+  k.page_table().for_each([&](uint64_t vpn, Pfn pfn) {
     const PageInfo& pi = k.pages()[pfn];
     if (pi.colored_alloc && pi.owner != kNoTask) {
       EXPECT_TRUE(k.task(pi.owner).has_mem_color(pi.bank_color)) << vpn;
     }
-  }
+  });
   for (const TaskId t : tasks) {
     const auto ts = k.task(t).alloc_stats().snapshot();
     EXPECT_EQ(ts.page_faults, ts.colored_pages + ts.default_pages) << t;

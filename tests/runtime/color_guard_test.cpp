@@ -667,7 +667,8 @@ TEST_F(ColorGuardTest, HealPicksAnUnclaimedHealthyQuietColorHotNodeFirst) {
                          topo_.page_bytes()) != bank(1, 2))
     ++victim;
   ASSERT_TRUE(k.poison_frame(victim));
-  ASSERT_EQ(k.retired_colors(), std::vector<uint16_t>{bank(1, 2)});
+  for (unsigned c = 0; c < map_.num_bank_colors(); ++c)
+    ASSERT_EQ(k.color_retired(c), c == bank(1, 2)) << c;
   // Heat bank(1, 3), which nobody holds, until the detector flags it.
   heat_bank(bank(1, 3), 200, 0);
   guard.run_epoch();

@@ -135,12 +135,12 @@ TEST(GuardTortureTest, RecolorStormVsFaultsStwAndHotplug) {
 
   // No tenant is stranded mid-swap: every surviving colored mapping's
   // bank color is in its owner's *current* set.
-  for (const auto& [vpn, pfn] : k.page_table().mappings()) {
+  k.page_table().for_each([&](uint64_t vpn, os::Pfn pfn) {
     const os::PageInfo& pi = k.pages()[pfn];
     if (pi.colored_alloc && pi.owner != os::kNoTask) {
       EXPECT_TRUE(k.task(pi.owner).has_mem_color(pi.bank_color)) << vpn;
     }
-  }
+  });
   // Guard-internal books are consistent with themselves.
   const auto gs = guard.stats().snapshot();
   EXPECT_GE(gs.heals_started, gs.heals_completed + gs.rollbacks);
